@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci build vet fmt test test-race fuzz-smoke fuzz-native overhead bench bench-parallel bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-baseline bench-check lint-metrics experiments
+.PHONY: ci build vet fmt test test-race fuzz-smoke fuzz-native overhead bench bench-parallel bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-smoke bench-baseline bench-check lint-metrics experiments
 
-ci: build vet fmt lint-metrics test test-race fuzz-smoke bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace overhead bench-check
+ci: build vet fmt lint-metrics test test-race fuzz-smoke bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-smoke overhead bench-check
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,13 @@ bench-snapshot:
 # or any traced query errors.
 bench-qtrace:
 	$(GO) run ./cmd/experiments -exp qtrace -workload li -qtrace-out $$(mktemp -u)
+
+# End-to-end benchmark smoke: every perfbench workload for a few ops,
+# traced and untraced, through the façade path. Fails on an unexpected
+# metric set or unit, or on any answer that differs from
+# perfbench/refs.json (see perfbench/README.md).
+bench-smoke:
+	python3 perfbench/run.py --smoke
 
 # Drift check: every stats.Recorder/telemetry counter and gauge name
 # registered in code must appear in docs/OBSERVABILITY.md's metric

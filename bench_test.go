@@ -252,8 +252,9 @@ func BenchmarkBuild(b *testing.B) {
 	})
 }
 
-// BenchmarkSlice measures single-criterion OPT queries; allocation counts
-// show the pooled worklist state being reused across queries.
+// BenchmarkSlice measures single-criterion OPT queries, each a
+// one-criterion run of the traversal kernel; allocation counts show its
+// per-query visited table and cursor state.
 func BenchmarkSlice(b *testing.B) {
 	res := build(b, bench.Options{WithOPT: true})
 	b.ReportAllocs()

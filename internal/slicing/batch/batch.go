@@ -1,23 +1,29 @@
-// Package batch is the shared multi-criterion traversal scheduler used by
-// the FP and OPT batched slicers (slicing.MultiSlicer). It replaces the
-// per-algorithm map[key]uint64 visited maps with a sharded flat visited
-// table whose criterion masks are merged by atomic CAS, and runs the
-// frontier on a bounded work-stealing worker pool:
+// Package batch is the one traversal kernel of the FP and OPT slicers:
+// single, observed and batched queries (slicing.Slicer, slicing.Explainer,
+// slicing.MultiSlicer) all run here, a single query being the
+// one-criterion batch. Every traversal point carries a 64-bit criterion
+// mask in a sharded flat visited table, and the frontier runs on a
+// bounded work-stealing worker pool:
 //
 //   - Visited table: open-addressing shards (RWMutex-guarded buckets over
 //     slab-allocated entries that never move), one entry per traversal
 //     point. The 64-bit criterion mask on each entry is CAS-merged, so
 //     the hot path of a revisit is array indexing plus one atomic
 //     or-merge — no map hashing, no allocation.
-//   - Expansion memo: each entry publishes its dependence expansion (the
-//     statements contributed and the downstream points reached) exactly
-//     once via an atomic pointer; racing workers compute independently
-//     but only the publishing winner's traversal stats are counted, so
-//     aggregate stats stay per-unique-point regardless of schedule.
+//   - Expansion memo: an entry that may be reached again with new
+//     criterion bits publishes its dependence expansion (the statements
+//     contributed and the downstream points reached) exactly once via an
+//     atomic pointer; racing workers compute independently but only the
+//     publishing winner's traversal stats are counted, so aggregate stats
+//     stay per-unique-point regardless of schedule.
 //   - Work stealing: each worker owns a deque, pushes and pops at its
 //     tail (LIFO keeps the traversal depth-first and cache-warm), and
 //     steals half a victim's queue from the head when empty. Termination
 //     is a global count of enqueued-but-unfinished tasks.
+//   - One worker: a run with one seed (every single query) or a pool of
+//     one owns all of the above outright, so it takes no locks and no
+//     atomics, resolves into a reused expansion buffer, and recycles its
+//     one-shard table across runs.
 //   - Results: workers accumulate per-statement criterion masks in dense
 //     per-worker arrays, OR-merged after the pool drains — the output is
 //     a deterministic function of the reachable set, independent of the
@@ -27,6 +33,7 @@ package batch
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -41,13 +48,18 @@ type Key struct {
 	K1, K2 uint64
 }
 
-// Expansion is the memoized resolution of one traversal point: the
-// statements it contributes to every criterion that reaches it, and the
-// downstream points it leads to. Published once per unique key and then
-// read-only.
+// Expansion is the resolution of one traversal point: the statements it
+// contributes to every criterion that reaches it, and the downstream
+// points it leads to. Memoized expansions are published once per key and
+// then read-only.
 type Expansion struct {
 	Stmts   []ir.StmtID
 	Targets []Key
+}
+
+// clone copies e out of a worker's reused buffer.
+func (e *Expansion) clone() *Expansion {
+	return &Expansion{Stmts: slices.Clone(e.Stmts), Targets: slices.Clone(e.Targets)}
 }
 
 // Counters reports scheduler-level work for telemetry.
@@ -61,16 +73,19 @@ type Counters struct {
 // Config configures one batched traversal.
 type Config struct {
 	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0). A batch
-	// never uses more workers than it has seed tasks.
+	// never uses more workers than it has seed tasks, so a one-criterion
+	// query always runs on one worker.
 	Workers int
 	// NumStmts sizes the dense per-statement result-mask arrays
 	// (statement IDs index them).
 	NumStmts int
-	// Expand resolves one traversal point. It is called at most once per
-	// unique key per winner (racing losers' results are discarded); stats
-	// must count only this key's resolution work. scratch is the
-	// caller's per-worker state from NewScratch (nil when unset).
-	Expand func(k Key, stats *slicing.Stats, scratch any) *Expansion
+	// Expand resolves one traversal point by appending to exp, a
+	// per-worker buffer the kernel empties before each call and copies
+	// only when it memoizes the result. stats must count only this key's
+	// resolution work; the run keeps one call's stats per unique key
+	// (racing losers' are discarded). scratch is the caller's per-worker
+	// state from NewScratch (nil when unset).
+	Expand func(k Key, exp *Expansion, stats *slicing.Stats, scratch any)
 	// NewScratch builds per-worker expansion state (e.g. label-block
 	// cursor caches). Optional.
 	NewScratch func() any
@@ -97,13 +112,14 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	if nw > len(seeds) {
-		nw = len(seeds)
+	nw = max(1, min(nw, len(seeds)))
+	r := &runner{cfg: cfg, shared: nw > 1}
+	if r.shared {
+		r.table = newTable(nw)
+	} else {
+		r.table = localTables.Get().(*table)
+		defer r.table.release()
 	}
-	if nw < 1 {
-		nw = 1
-	}
-	r := &runner{cfg: cfg, table: newTable(nw)}
 	r.workers = make([]*worker, nw)
 	for i := range r.workers {
 		w := &worker{masks: make([]uint64, cfg.NumStmts)}
@@ -115,9 +131,10 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 	// Seeds are dealt round-robin so the pool starts balanced; stealing
 	// rebalances from there.
 	for i, s := range seeds {
+		r.full |= s.Mask
 		r.push(r.workers[i%nw], s.K, s.Mask)
 	}
-	if nw == 1 {
+	if !r.shared {
 		r.loop(0)
 	} else {
 		var wg sync.WaitGroup
@@ -144,8 +161,6 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 		}
 		stats.Instances += w.stats.Instances
 		stats.LabelProbes += w.stats.LabelProbes
-		stats.SegScans += w.stats.SegScans
-		stats.SegSkips += w.stats.SegSkips
 		ctr.Steals += w.ctr.Steals
 		ctr.Merges += w.ctr.Merges
 		ctr.Expansions += w.ctr.Expansions
@@ -154,27 +169,64 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 	return masks, stats, ctr
 }
 
+// Slices answers one criterion per seed key: one Run per 64-key chunk,
+// key i owning bit i%64 of its chunk. It returns the slices, the stats
+// and counters summed over the chunks.
+func Slices(cfg Config, keys []Key) ([]*slicing.Slice, *slicing.Stats, Counters) {
+	outs := make([]*slicing.Slice, len(keys))
+	for i := range outs {
+		outs[i] = slicing.NewSlice()
+	}
+	stats := &slicing.Stats{}
+	var ctr Counters
+	for base := 0; base < len(keys); base += 64 {
+		tasks := make([]Task, min(64, len(keys)-base))
+		for j := range tasks {
+			tasks[j] = Task{K: keys[base+j], Mask: uint64(1) << j}
+		}
+		masks, st, c := Run(cfg, tasks)
+		MaskSlices(masks, outs[base:base+len(tasks)])
+		stats.Instances += st.Instances
+		stats.LabelProbes += st.LabelProbes
+		ctr.Steals += c.Steals
+		ctr.Merges += c.Merges
+		ctr.Expansions += c.Expansions
+		ctr.WorkersUsed = max(ctr.WorkersUsed, c.WorkersUsed)
+	}
+	return outs, stats, ctr
+}
+
 type worker struct {
 	mu      sync.Mutex
 	dq      []Task
+	buf     Expansion     // reused expansion buffer
+	delta   slicing.Stats // one expansion's stats, before the memo decides
 	masks   []uint64
 	stats   slicing.Stats
 	ctr     Counters
 	scratch any
 }
 
+// runner is one Run's state. A one-worker run (shared == false) owns all
+// of it: no deque or shard locks, no CAS, no pending count.
 type runner struct {
 	cfg     Config
 	table   *table
 	workers []*worker
+	shared  bool
+	full    uint64 // OR of every seed mask
 	pending atomic.Int64
 }
 
 // push claims mask's unseen bits for k in the visited table and, when any
 // are new, enqueues a task carrying exactly those bits.
 func (r *runner) push(w *worker, k Key, mask uint64) {
-	nv, e := r.table.visit(k, mask)
+	nv, e := r.table.visit(k, mask, r.shared)
 	if nv == 0 {
+		return
+	}
+	if !r.shared {
+		w.dq = append(w.dq, Task{K: k, Mask: nv, e: e})
 		return
 	}
 	r.pending.Add(1)
@@ -188,8 +240,10 @@ func (r *runner) push(w *worker, k Key, mask uint64) {
 // merging; the table-level half happens at push). Coalesced tasks retire
 // immediately from the pending count.
 func (r *runner) pop(w *worker) (Task, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+	if r.shared {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+	}
 	n := len(w.dq)
 	if n == 0 {
 		return Task{}, false
@@ -200,7 +254,9 @@ func (r *runner) pop(w *worker) (Task, bool) {
 		t.Mask |= w.dq[len(w.dq)-1].Mask
 		w.dq = w.dq[:len(w.dq)-1]
 		w.ctr.Merges++
-		r.pending.Add(-1)
+		if r.shared {
+			r.pending.Add(-1)
+		}
 	}
 	return t, true
 }
@@ -233,14 +289,13 @@ func (r *runner) steal(self int) (Task, bool) {
 
 func (r *runner) loop(self int) {
 	w := r.workers[self]
-	single := len(r.workers) == 1
 	for {
 		t, ok := r.pop(w)
-		if !ok && !single {
+		if !ok && r.shared {
 			t, ok = r.steal(self)
 		}
 		if !ok {
-			if r.pending.Load() == 0 || single {
+			if !r.shared || r.pending.Load() == 0 {
 				return
 			}
 			runtime.Gosched()
@@ -253,21 +308,28 @@ func (r *runner) loop(self int) {
 // process expands one task: resolve (or reuse) the key's expansion, OR the
 // task's bits into the contributed statements' result masks, and propagate
 // the bits downstream.
+//
+// A task holding every seed bit is the only task its key ever gets (each
+// bit is claimed once per key), so its expansion is resolved into the
+// worker's buffer and never memoized — every task of a one-criterion
+// query. Any other task's key may be reached again with new bits: its
+// expansion is published once, and only the publishing winner's stats
+// count, so aggregate stats stay per-unique-key no matter how many
+// workers raced on it.
 func (r *runner) process(w *worker, t Task) {
-	exp := t.e.exp.Load()
+	var exp *Expansion
+	if t.Mask != r.full {
+		exp = t.e.memo(r.shared)
+	}
 	if exp == nil {
-		var delta slicing.Stats
-		computed := r.cfg.Expand(t.K, &delta, w.scratch)
-		if t.e.exp.CompareAndSwap(nil, computed) {
-			// Publishing winner: its resolution work is the one counted,
-			// so stats are per-unique-key no matter how many workers
-			// raced here.
-			w.stats.Instances += delta.Instances
-			w.stats.LabelProbes += delta.LabelProbes
+		exp = &w.buf
+		exp.Stmts, exp.Targets = exp.Stmts[:0], exp.Targets[:0]
+		w.delta = slicing.Stats{}
+		r.cfg.Expand(t.K, exp, &w.delta, w.scratch)
+		if t.Mask == r.full || t.e.publish(exp.clone(), r.shared) {
+			w.stats.Instances += w.delta.Instances
+			w.stats.LabelProbes += w.delta.LabelProbes
 			w.ctr.Expansions++
-			exp = computed
-		} else {
-			exp = t.e.exp.Load()
 		}
 	}
 	for _, id := range exp.Stmts {
@@ -276,7 +338,9 @@ func (r *runner) process(w *worker, t Task) {
 	for _, tk := range exp.Targets {
 		r.push(w, tk, t.Mask)
 	}
-	r.pending.Add(-1)
+	if r.shared {
+		r.pending.Add(-1)
+	}
 }
 
 // MaskSlices converts the dense per-statement criterion masks into one

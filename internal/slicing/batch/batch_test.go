@@ -16,11 +16,11 @@ const (
 	synStmts = 257
 )
 
-func synExpand(k Key, stats *slicing.Stats, _ any) *Expansion {
+func synExpand(k Key, e *Expansion, stats *slicing.Stats, _ any) {
 	stats.Instances++
 	stats.LabelProbes += 2
 	i := k.K1
-	e := &Expansion{Stmts: []ir.StmtID{ir.StmtID(i % synStmts)}}
+	e.Stmts = append(e.Stmts, ir.StmtID(i%synStmts))
 	if c := 2*i + 1; c < synLimit {
 		e.Targets = append(e.Targets, Key{K1: c})
 	}
@@ -30,7 +30,6 @@ func synExpand(k Key, stats *slicing.Stats, _ any) *Expansion {
 	if i > 0 {
 		e.Targets = append(e.Targets, Key{K1: i / 3})
 	}
-	return e
 }
 
 func synSeeds(n int) []Task {
@@ -99,6 +98,32 @@ func TestRunHammer(t *testing.T) {
 	}
 }
 
+// TestOneSeedRun: a one-criterion run — every single query — runs on one
+// worker whatever the pool bound, expands each reachable key once, and
+// resolves into the reused buffer without memoizing, so its allocations
+// do not grow with the number of expansions.
+func TestOneSeedRun(t *testing.T) {
+	cfg := Config{Workers: 8, NumStmts: synStmts, Expand: synExpand}
+	seeds := synSeeds(1)
+	masks, stats, ctr := Run(cfg, seeds)
+	if ctr.WorkersUsed != 1 || ctr.Steals != 0 || ctr.Merges != 0 {
+		t.Fatalf("counters %+v: want one worker, no steals or merges", ctr)
+	}
+	if ctr.Expansions != synLimit || stats.Instances != synLimit {
+		t.Fatalf("expansions %d, instances %d: want every one of %d keys once",
+			ctr.Expansions, stats.Instances, synLimit)
+	}
+	for id, m := range masks {
+		if m != 1 {
+			t.Fatalf("stmt %d mask %x want 1", id, m)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() { Run(cfg, seeds) })
+	if allocs > synLimit/50 {
+		t.Fatalf("%.0f allocations for %d expansions: buffer not reused", allocs, synLimit)
+	}
+}
+
 // TestScratchLifecycle: NewScratch runs once per started worker and
 // FinishScratch sees every scratch exactly once, after the pool drains.
 func TestScratchLifecycle(t *testing.T) {
@@ -108,9 +133,9 @@ func TestScratchLifecycle(t *testing.T) {
 	cfg := Config{
 		Workers:  4,
 		NumStmts: synStmts,
-		Expand: func(k Key, stats *slicing.Stats, sc any) *Expansion {
+		Expand: func(k Key, e *Expansion, stats *slicing.Stats, sc any) {
 			sc.(*scratch).expansions++
-			return synExpand(k, stats, nil)
+			synExpand(k, e, stats, nil)
 		},
 		NewScratch: func() any { return &scratch{} },
 		FinishScratch: func(sc any) {
@@ -139,18 +164,18 @@ func TestScratchLifecycle(t *testing.T) {
 func TestVisitMaskSemantics(t *testing.T) {
 	tb := newTable(4)
 	k := Key{K1: 42, K2: 7}
-	nv, e1 := tb.visit(k, 0b1011)
+	nv, e1 := tb.visit(k, 0b1011, true)
 	if nv != 0b1011 {
 		t.Fatalf("first visit claimed %b want 1011", nv)
 	}
-	nv, e2 := tb.visit(k, 0b1110)
+	nv, e2 := tb.visit(k, 0b1110, true)
 	if nv != 0b0100 {
 		t.Fatalf("second visit claimed %b want 0100", nv)
 	}
 	if e1 != e2 {
 		t.Fatal("entry moved between visits")
 	}
-	if nv, _ := tb.visit(k, 0b1111); nv != 0 {
+	if nv, _ := tb.visit(k, 0b1111, true); nv != 0 {
 		t.Fatalf("third visit claimed %b want 0", nv)
 	}
 	// Force bucket growth in every shard; earlier entries must survive with
@@ -158,7 +183,7 @@ func TestVisitMaskSemantics(t *testing.T) {
 	entries := map[Key]*entry{k: e1}
 	for i := uint64(0); i < 5000; i++ {
 		kk := Key{K1: i, K2: i * 3}
-		nv, e := tb.visit(kk, 1)
+		nv, e := tb.visit(kk, 1, true)
 		if prev, dup := entries[kk]; dup && prev != e {
 			t.Fatalf("key %v: duplicate entry after growth", kk)
 		} else if !dup {
@@ -168,8 +193,46 @@ func TestVisitMaskSemantics(t *testing.T) {
 			entries[kk] = e
 		}
 	}
-	if nv, e := tb.visit(k, 0b10000); nv != 0b10000 || e != e1 {
+	if nv, e := tb.visit(k, 0b10000, true); nv != 0b10000 || e != e1 {
 		t.Fatalf("post-growth visit: claimed %b entry moved=%v", nv, e != e1)
+	}
+}
+
+// TestTableHomeSlotsSpanShard: the shard index and a key's home bucket
+// must come from different hash bits. If both came from the low bits, a
+// shard's keys could only start probing at 1 in 8 of its buckets, those
+// home slots would always be full, and linear probing would pile the keys
+// into long runs behind them.
+func TestTableHomeSlotsSpanShard(t *testing.T) {
+	tb := newTable(2)
+	if len(tb.shards) < 8 {
+		t.Fatalf("%d shards: want at least 8", len(tb.shards))
+	}
+	for i := uint64(0); i < 50000; i++ {
+		// OPT-shaped keys: (node, statement copy) and (timestamp, slot).
+		tb.visit(Key{K1: i%97<<32 | i%13, K2: i<<16 | 1}, 1, true)
+	}
+	for s := range tb.shards {
+		sh := &tb.shards[s]
+		var used, class, classUsed int
+		for i, b := range sh.buckets {
+			inClass := uint64(i)&tb.smask == uint64(s)
+			if inClass {
+				class++
+			}
+			if b != 0 {
+				used++
+				if inClass {
+					classUsed++
+				}
+			}
+		}
+		load := float64(used) / float64(len(sh.buckets))
+		classLoad := float64(classUsed) / float64(class)
+		if classLoad-load > 0.1 {
+			t.Errorf("shard %d: buckets whose index matches the shard are %.2f full, all buckets %.2f",
+				s, classLoad, load)
+		}
 	}
 }
 
@@ -186,7 +249,7 @@ func TestVisitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < keys; i++ {
-				nv, _ := tb.visit(Key{K1: uint64(i)}, 0xFF)
+				nv, _ := tb.visit(Key{K1: uint64(i)}, 0xFF, true)
 				claimed[w][i] = nv
 			}
 		}(w)

@@ -3,6 +3,7 @@ package batch
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // The visited table: a power-of-two set of shards, each an open-addressing
@@ -10,15 +11,45 @@ import (
 // created (slabs are fixed-capacity chunks), so workers hold *entry across
 // shard growth; only the bucket index array is rehashed, under the shard's
 // write lock. The common revisit path is: read-lock, probe a few buckets,
-// CAS the mask — no allocation, no map hashing.
+// CAS the mask — no allocation, no map hashing. A one-worker run owns the
+// table outright and skips the locks and atomics (the shared argument of
+// visit, memo and publish).
 
+// entry's mask and exp are plain words rather than sync/atomic types so
+// that a one-worker run, the only goroutine that can reach its table,
+// uses them without atomic instructions; shared runs access them only
+// through sync/atomic.
 type entry struct {
 	k1, k2 uint64
-	mask   atomic.Uint64
-	exp    atomic.Pointer[Expansion]
+	mask   uint64         // claimed criterion bits
+	exp    unsafe.Pointer // memoized *Expansion, nil until published
 }
 
-const entryChunkShift = 9 // 512 entries per slab chunk
+// memo returns the entry's published expansion, or nil.
+func (e *entry) memo(shared bool) *Expansion {
+	if shared {
+		return (*Expansion)(atomic.LoadPointer(&e.exp))
+	}
+	return (*Expansion)(e.exp)
+}
+
+// publish memoizes x unless a racing worker already did, and reports
+// whether x is the published expansion.
+func (e *entry) publish(x *Expansion, shared bool) bool {
+	if shared {
+		return atomic.CompareAndSwapPointer(&e.exp, nil, unsafe.Pointer(x))
+	}
+	e.exp = unsafe.Pointer(x)
+	return true
+}
+
+const (
+	entryChunkShift = 9 // 512 entries per slab chunk
+	// shardBits is the hash bits the shard index may take (at most 64
+	// shards). Bucket probes start from the bits above them, so every
+	// bucket of a shard can be a key's home slot.
+	shardBits = 6
+)
 
 type shard struct {
 	mu      sync.RWMutex
@@ -33,18 +64,41 @@ type table struct {
 }
 
 // newTable sizes the shard set to the worker count: enough shards that
-// concurrent inserts rarely collide, bounded so a single-worker run stays
-// tiny.
+// concurrent inserts rarely collide, and a single shard for a one-worker
+// run, which never contends.
 func newTable(workers int) *table {
-	n := 8
-	for n < workers*4 {
-		n <<= 1
+	n := 1
+	if workers > 1 {
+		n = 8
+		for n < workers*4 {
+			n <<= 1
+		}
+		n = min(n, 1<<shardBits)
 	}
-	if n > 64 {
-		n = 64
+	return &table{shards: make([]shard, n), smask: uint64(n - 1)}
+}
+
+// localTables recycles one-worker tables: a single query's visited table
+// is most of what it allocates, and the next query can reuse its entry
+// chunks and bucket array.
+var localTables = sync.Pool{New: func() any { return newTable(1) }}
+
+// release empties a one-shard table and returns it to localTables. The
+// used entries are zeroed, so no memo outlives its run; a bucket array
+// far larger than the run needed is dropped rather than cleared, so one
+// large query does not make every later small one clear its buckets.
+func (t *table) release() {
+	sh := &t.shards[0]
+	if len(sh.buckets) > 16*sh.count {
+		sh.buckets = nil
+	} else {
+		clear(sh.buckets)
 	}
-	t := &table{shards: make([]shard, n), smask: uint64(n - 1)}
-	return t
+	for i := 0; i < sh.count; i += 1 << entryChunkShift {
+		clear(sh.chunks[i>>entryChunkShift])
+	}
+	sh.count = 0
+	localTables.Put(t)
 }
 
 // hash mixes both key words (splitmix64 finalizer over their combination).
@@ -60,25 +114,33 @@ func hash(k Key) uint64 {
 
 // visit merges mask into k's entry, creating it if needed, and returns the
 // newly claimed bits (0 if every bit was already present) plus the stable
-// entry.
-func (t *table) visit(k Key, mask uint64) (uint64, *entry) {
+// entry. shared selects the locked, CAS-merged path concurrent workers
+// need.
+func (t *table) visit(k Key, mask uint64, shared bool) (uint64, *entry) {
 	h := hash(k)
 	sh := &t.shards[h&t.smask]
+	h >>= shardBits
+	if !shared {
+		e := sh.get(k, h)
+		nv := mask &^ e.mask
+		e.mask |= nv
+		return nv, e
+	}
 	sh.mu.RLock()
 	e := sh.lookup(k, h)
 	sh.mu.RUnlock()
 	if e == nil {
 		sh.mu.Lock()
-		e = sh.insert(k, h)
+		e = sh.get(k, h)
 		sh.mu.Unlock()
 	}
 	for {
-		old := e.mask.Load()
+		old := atomic.LoadUint64(&e.mask)
 		nv := mask &^ old
 		if nv == 0 {
 			return 0, e
 		}
-		if e.mask.CompareAndSwap(old, old|nv) {
+		if atomic.CompareAndSwapUint64(&e.mask, old, old|nv) {
 			return nv, e
 		}
 	}
@@ -91,83 +153,59 @@ func (sh *shard) lookup(k Key, h uint64) *entry {
 	if n == 0 {
 		return nil
 	}
-	for i := h & (n - 1); ; i = (i + 1) & (n - 1) {
-		b := sh.buckets[i]
-		if b == 0 {
-			return nil
-		}
-		e := sh.at(int(b - 1))
-		if e.k1 == k.K1 && e.k2 == k.K2 {
+	for i := h & (n - 1); sh.buckets[i] != 0; i = (i + 1) & (n - 1) {
+		if e := sh.at(int(sh.buckets[i] - 1)); e.k1 == k.K1 && e.k2 == k.K2 {
 			return e
 		}
 	}
+	return nil
 }
 
 func (sh *shard) at(idx int) *entry {
 	return &sh.chunks[idx>>entryChunkShift][idx&(1<<entryChunkShift-1)]
 }
 
-// insert re-probes under the write lock (another worker may have won the
-// race) and otherwise allocates the entry, growing the bucket array at 3/4
-// load.
-func (sh *shard) insert(k Key, h uint64) *entry {
-	if sh.buckets == nil {
-		sh.buckets = make([]int32, 64)
-	}
-	if e := sh.lookupLocked(k, h); e != nil {
-		return e
-	}
+// get returns k's entry, allocating it at the probe sequence's first empty
+// bucket when absent. The caller holds the write lock (or owns the
+// table); another worker may have inserted k since a read-locked lookup
+// missed, which the probe here catches.
+func (sh *shard) get(k Key, h uint64) *entry {
 	if (sh.count+1)*4 > len(sh.buckets)*3 {
 		sh.grow()
 	}
-	ci := sh.count >> entryChunkShift
-	if ci == len(sh.chunks) {
+	n := uint64(len(sh.buckets))
+	i := h & (n - 1)
+	for ; sh.buckets[i] != 0; i = (i + 1) & (n - 1) {
+		if e := sh.at(int(sh.buckets[i] - 1)); e.k1 == k.K1 && e.k2 == k.K2 {
+			return e
+		}
+	}
+	if sh.count>>entryChunkShift == len(sh.chunks) {
 		sh.chunks = append(sh.chunks, make([]entry, 1<<entryChunkShift))
 	}
 	idx := sh.count
 	sh.count++
+	sh.buckets[i] = int32(idx + 1)
 	e := sh.at(idx)
 	e.k1, e.k2 = k.K1, k.K2
-	n := uint64(len(sh.buckets))
-	for i := h & (n - 1); ; i = (i + 1) & (n - 1) {
-		if sh.buckets[i] == 0 {
-			sh.buckets[i] = int32(idx + 1)
-			break
-		}
-	}
 	return e
 }
 
-func (sh *shard) lookupLocked(k Key, h uint64) *entry {
-	n := uint64(len(sh.buckets))
-	for i := h & (n - 1); ; i = (i + 1) & (n - 1) {
-		b := sh.buckets[i]
-		if b == 0 {
-			return nil
-		}
-		e := sh.at(int(b - 1))
-		if e.k1 == k.K1 && e.k2 == k.K2 {
-			return e
-		}
-	}
-}
-
-// grow doubles the bucket array and rehashes the indices; entries stay put.
+// grow doubles the bucket array (64 buckets to start) and rehashes the
+// indices; entries stay put.
 func (sh *shard) grow() {
 	old := sh.buckets
-	sh.buckets = make([]int32, len(old)*2)
+	sh.buckets = make([]int32, max(64, 2*len(old)))
 	n := uint64(len(sh.buckets))
 	for _, b := range old {
 		if b == 0 {
 			continue
 		}
 		e := sh.at(int(b - 1))
-		h := hash(Key{e.k1, e.k2})
-		for i := h & (n - 1); ; i = (i + 1) & (n - 1) {
-			if sh.buckets[i] == 0 {
-				sh.buckets[i] = b
-				break
-			}
+		i := (hash(Key{e.k1, e.k2}) >> shardBits) & (n - 1)
+		for sh.buckets[i] != 0 {
+			i = (i + 1) & (n - 1)
 		}
+		sh.buckets[i] = b
 	}
 }

@@ -17,14 +17,11 @@
 package fp
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"unsafe"
 
 	"dynslice/internal/ir"
-	"dynslice/internal/slicing"
-	"dynslice/internal/slicing/explain"
 	"dynslice/internal/slicing/labelblock"
 	"dynslice/internal/telemetry"
 )
@@ -305,84 +302,6 @@ func (g *Graph) EdgeBytes() int64 {
 // ResidentBytes is the actual footprint of the frozen graph: labels plus
 // the slot tables.
 func (g *Graph) ResidentBytes() int64 { return g.LabelBytes() + g.EdgeBytes() }
-
-var _ slicing.Explainer = (*Graph)(nil)
-
-type instKey struct {
-	stmt ir.StmtID
-	ts   int64
-}
-
-// Slice implements slicing.Slicer.
-func (g *Graph) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, error) {
-	return g.SliceObserved(c, nil)
-}
-
-// SliceObserved implements slicing.Explainer: the same traversal as
-// Slice, recording each traversed dependence into rec when non-nil.
-// Every FP dependence is an explicit stored label, so all hops carry
-// explain.KindExplicit — FP is the accounting baseline the OPT
-// attribution is compared against.
-func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slicing.Slice, *slicing.Stats, error) {
-	stats := &slicing.Stats{}
-	var start instRef
-	if c.Stmt >= 0 {
-		start = instRef{stmt: c.Stmt, ts: c.TS}
-	} else {
-		d, ok := g.defOf(c.Addr)
-		if !ok {
-			return nil, nil, fmt.Errorf("fp: address %d was never defined", c.Addr)
-		}
-		start = d
-	}
-	if rec != nil {
-		rec.Criterion(start.stmt, start.ts)
-	}
-	out := slicing.NewSlice()
-	visited := map[instKey]bool{}
-	work := []instRef{start}
-	for len(work) > 0 {
-		in := work[len(work)-1]
-		work = work[:len(work)-1]
-		k := instKey{in.stmt, in.ts}
-		if visited[k] {
-			continue
-		}
-		visited[k] = true
-		stats.Instances++
-		if rec != nil {
-			rec.Visit(in.stmt, in.ts)
-		}
-		out.Add(in.stmt)
-		s := g.p.Stmt(in.stmt)
-
-		// Data dependences, one per use slot.
-		for i := range s.Uses {
-			slots := g.useEdges[in.stmt]
-			if slots == nil {
-				continue
-			}
-			td, def, probes, found := slots[i].Find(in.ts)
-			stats.LabelProbes += probes
-			if found {
-				if rec != nil {
-					rec.Edge(in.stmt, in.ts, false, int32(i), ir.StmtID(def), td, explain.KindExplicit, false)
-				}
-				work = append(work, instRef{stmt: ir.StmtID(def), ts: td})
-			}
-		}
-		// Control dependence of the enclosing block instance.
-		ta, anc, probes, found := g.cdEdges[s.Block.ID].Find(in.ts)
-		stats.LabelProbes += probes
-		if found {
-			if rec != nil {
-				rec.Edge(in.stmt, in.ts, false, -1, ir.StmtID(anc), ta, explain.KindExplicit, true)
-			}
-			work = append(work, instRef{stmt: ir.StmtID(anc), ts: ta})
-		}
-	}
-	return out, stats, nil
-}
 
 // sortCheck verifies the edge ordering invariant on the decoded lists
 // (used by tests).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dynslice/internal/slicing"
+	"dynslice/internal/slicing/explain"
 )
 
 const batchSrc = `
@@ -45,8 +46,10 @@ func definedAddrs(g *Graph) []int64 {
 }
 
 // TestSliceAllMatchesSequential: the batched FP traversal must reproduce
-// the sequential slice for every defined address, crossing the
-// 64-criterion chunk boundary.
+// the single-criterion slice for every defined address, crossing the
+// 64-criterion chunk boundary. Slice, SliceObserved and a one-criterion
+// SliceAll are the same kernel run, so they must agree on the slice and
+// on the traversal stats too.
 func TestSliceAllMatchesSequential(t *testing.T) {
 	g, _ := build(t, batchSrc)
 	addrs := definedAddrs(g)
@@ -61,14 +64,30 @@ func TestSliceAllMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, a := range addrs {
-		seq, _, err := g.Slice(slicing.AddrCriterion(a))
+	for i, c := range cs {
+		seq, st, err := g.Slice(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !seq.Equal(batched[i]) {
 			t.Fatalf("addr %d: batched (%d stmts) != sequential (%d stmts)",
-				a, batched[i].Len(), seq.Len())
+				c.Addr, batched[i].Len(), seq.Len())
+		}
+		obs, ost, err := g.SliceObserved(c, explain.NewRecorder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, est, err := g.SliceAll([]slicing.Criterion{c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !seq.Equal(obs) || !seq.Equal(one[0]) {
+			t.Fatalf("addr %d: Slice, SliceObserved and one-criterion SliceAll disagree", c.Addr)
+		}
+		for _, o := range []*slicing.Stats{ost, est} {
+			if o.Instances != st.Instances || o.LabelProbes != st.LabelProbes {
+				t.Fatalf("addr %d: stats %+v, Slice reported %+v", c.Addr, *o, *st)
+			}
 		}
 	}
 	if _, _, err := g.SliceAll([]slicing.Criterion{slicing.AddrCriterion(1 << 40)}); err == nil {

@@ -10,6 +10,7 @@ import (
 	"dynslice/internal/ir"
 	"dynslice/internal/profile"
 	"dynslice/internal/slicing"
+	"dynslice/internal/slicing/explain"
 	"dynslice/internal/slicing/opt"
 	"dynslice/internal/trace"
 )
@@ -120,10 +121,7 @@ func TestSliceAllMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, a := range addrs {
-				seq, _, err := g.Slice(slicing.AddrCriterion(a))
-				if err != nil {
-					t.Fatal(err)
-				}
+				seq := checkOneCriterionRuns(t, g, a)
 				if !seq.Equal(batched[i]) {
 					t.Fatalf("addr %d: batched slice (%d stmts) != sequential (%d stmts)",
 						a, batched[i].Len(), seq.Len())
@@ -131,6 +129,35 @@ func TestSliceAllMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkOneCriterionRuns answers a through Slice, SliceObserved and a
+// one-criterion SliceAll — the same kernel run — and fails unless all
+// three return the same slice, Stats.Instances and Stats.LabelProbes.
+func checkOneCriterionRuns(t *testing.T, g *opt.Graph, a int64) *slicing.Slice {
+	t.Helper()
+	c := slicing.AddrCriterion(a)
+	seq, st, err := g.Slice(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs, ost, err := g.SliceObserved(c, explain.NewRecorder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, est, err := g.SliceAll([]slicing.Criterion{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seq.Equal(obs) || !seq.Equal(one[0]) {
+		t.Fatalf("addr %d: Slice, SliceObserved and one-criterion SliceAll disagree", a)
+	}
+	for _, o := range []*slicing.Stats{ost, est} {
+		if o.Instances != st.Instances || o.LabelProbes != st.LabelProbes {
+			t.Fatalf("addr %d: stats %+v, Slice reported %+v", a, *o, *st)
+		}
+	}
+	return seq
 }
 
 // TestSliceAllWorkerSweep crosses scheduler pool sizes with criteria
@@ -183,11 +210,7 @@ func TestSliceAllHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, a := range addrs {
-		seq, _, err := g.Slice(slicing.AddrCriterion(a))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq.Equal(batched[i]) {
+		if seq := checkOneCriterionRuns(t, g, a); !seq.Equal(batched[i]) {
 			t.Fatalf("hybrid addr %d: batched != sequential", a)
 		}
 	}

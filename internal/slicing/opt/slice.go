@@ -2,9 +2,9 @@ package opt
 
 import (
 	"fmt"
-	"sync"
 
 	"dynslice/internal/slicing"
+	"dynslice/internal/slicing/batch"
 	"dynslice/internal/slicing/explain"
 	"dynslice/internal/slicing/labelblock"
 )
@@ -17,63 +17,222 @@ import (
 // Use-use edges redirect resolution to the earlier use without adding its
 // statement to the slice.
 //
-// The label-vs-static decision logic lives in resolveUseDep/resolveCDDep,
-// shared verbatim by the sequential traversal below and the batched
-// multi-criterion traversal in sliceall.go, so the two paths cannot
-// diverge.
+// There is one traversal: every query runs on the shared kernel in
+// internal/slicing/batch. Slice and SliceObserved are its one-criterion
+// case (one worker, no memo), SliceAll its batched one. Each traversal
+// point — a statement instance or a pending use-slot redirect — carries a
+// bitmask of the criteria whose slices it belongs to, merged through the
+// kernel's sharded flat visited table, so a subgraph shared by several
+// slices (the common case: the paper's 25 criteria are all end-of-run
+// definitions that converge on the program's core) is walked once instead
+// of once per criterion, and its dependence resolution (label probes,
+// default-edge inference) is memoized once per unique (location,
+// timestamp) rather than recomputed for every criterion that reaches it.
+// Expansion goes through resolveUseDep/resolveCDDep, answered through
+// per-worker label-block cursors; an observed query's explain.Recorder
+// sees each resolved hop as it is expanded.
 
 var _ slicing.Explainer = (*Graph)(nil)
 
-type instKey struct {
-	loc InstLoc
-	ts  int64
+// SetWorkers bounds the worker pool batched queries (SliceAll) run on;
+// n <= 0 means GOMAXPROCS. Atomic, so concurrent engine callers may
+// retune it between (but not during) their own queries.
+func (g *Graph) SetWorkers(n int) { g.workers.Store(int32(n)) }
+
+// optKey packs a traversal point — a statement instance (slot == -1) or a
+// use-slot redirect introduced by a use-use edge — into a scheduler key.
+// Timestamps are node ordinals, non-negative for every key that reaches
+// the scheduler (expander.add drops out-of-range inferences), so the shifted
+// packing is collision-free.
+func optKey(loc InstLoc, ts int64, slot int32) batch.Key {
+	return batch.Key{
+		K1: uint64(uint32(loc.Node))<<32 | uint64(uint32(loc.Stmt)),
+		K2: uint64(ts)<<16 | uint64(uint16(slot+2)),
+	}
 }
 
-type sliceState struct {
-	g       *Graph
-	out     *slicing.Slice
-	stats   *slicing.Stats
-	obs     *explain.Recorder // nil for unobserved queries (the common case)
-	visited map[instKey]bool
-	seenUse map[useKey]bool
-	work    []task
+func unpackKey(k batch.Key) (loc InstLoc, ts int64, slot int32) {
+	loc = InstLoc{Node: NodeID(int32(k.K1 >> 32)), Stmt: int32(uint32(k.K1))}
+	ts = int64(k.K2 >> 16)
+	slot = int32(uint16(k.K2)) - 2
+	return loc, ts, slot
 }
 
-type useKey struct {
-	loc  InstLoc
-	slot int32
-	ts   int64
+// Slice implements slicing.Slicer as the one-criterion kernel run.
+// Address criteria resolve against the graph's final last-definition
+// table; statement-instance criteria are rejected (OPT timestamps are
+// node ordinals, which are not meaningful to callers holding FP
+// ordinals).
+func (g *Graph) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, error) {
+	return g.SliceObserved(c, nil)
 }
 
-type task struct {
-	loc   InstLoc
-	ts    int64
-	slot  int32
-	isUse bool // resolve a single use slot without adding the statement
+// SliceObserved implements slicing.Explainer: the one-criterion kernel
+// run, recording each resolved dependence hop into rec when non-nil (one
+// seed means one worker, so rec is never shared).
+func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slicing.Slice, *slicing.Stats, error) {
+	outs, stats, err := g.sliceAll([]slicing.Criterion{c}, rec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0], stats, nil
 }
 
-// statePool recycles traversal state (visited/seen maps and the worklist)
-// across queries; the maps dominate per-query allocation on warm graphs.
-var statePool = sync.Pool{New: func() any {
-	return &sliceState{visited: map[instKey]bool{}, seenUse: map[useKey]bool{}}
-}}
-
-func getSliceState(g *Graph) *sliceState {
-	st := statePool.Get().(*sliceState)
-	st.g = g
-	st.out = slicing.NewSlice()
-	st.stats = &slicing.Stats{}
-	return st
+// SliceAll implements slicing.MultiSlicer: it answers every criterion with
+// the slice Slice would produce. The aggregate stats count each unique
+// instance and label probe once, not once per criterion that reaches it —
+// that sharing is the point.
+func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Stats, error) {
+	return g.sliceAll(cs, nil)
 }
 
-// releaseSliceState returns st to the pool. The slice and stats escape to
-// the caller; only the traversal bookkeeping is recycled.
-func (st *sliceState) release() {
-	clear(st.visited)
-	clear(st.seenUse)
-	st.work = st.work[:0]
-	st.g, st.out, st.stats, st.obs = nil, nil, nil, nil
-	statePool.Put(st)
+// sliceAll is the kernel run behind every query; rec is non-nil only for
+// one-criterion observed queries.
+func (g *Graph) sliceAll(cs []slicing.Criterion, rec *explain.Recorder) ([]*slicing.Slice, *slicing.Stats, error) {
+	keys := make([]batch.Key, len(cs))
+	for i, c := range cs {
+		if c.Stmt >= 0 {
+			return nil, nil, fmt.Errorf("opt: statement-instance criteria are not supported (OPT timestamps are node ordinals)")
+		}
+		d, ok := g.defOf(c.Addr)
+		if !ok {
+			return nil, nil, fmt.Errorf("opt: address %d was never defined", c.Addr)
+		}
+		if rec != nil {
+			rec.Criterion(g.StmtAt(d.Loc).ID, d.Ts)
+		}
+		keys[i] = optKey(d.Loc, d.Ts, -1)
+	}
+	var blockHits int64
+	outs, stats, ctr := batch.Slices(batch.Config{
+		Workers:  int(g.workers.Load()),
+		NumStmts: len(g.p.Stmts),
+		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, sc any) {
+			x := expander{g: g, exp: exp, stats: stats, cc: sc.(*labelblock.CursorCache), rec: rec}
+			x.point(k)
+		},
+		NewScratch:    func() any { return labelblock.NewCursorCache() },
+		FinishScratch: func(sc any) { blockHits += sc.(*labelblock.CursorCache).Hits },
+	}, keys)
+	if reg := g.tel; reg != nil {
+		reg.Counter("slice.batch.steals").Add(ctr.Steals)
+		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + blockHits)
+	}
+	return outs, stats, nil
+}
+
+// expander resolves one traversal point into the kernel's expansion
+// buffer, through one worker's label-block cursors; rec (nil unless the
+// query is observed) sees every resolved hop.
+type expander struct {
+	g     *Graph
+	exp   *batch.Expansion
+	stats *slicing.Stats
+	cc    *labelblock.CursorCache
+	rec   *explain.Recorder
+}
+
+// point expands a statement instance (slot == -1: its statements, uses
+// and control edge, or its shortcut closure) or a use-point redirect
+// (slot >= 0: that one use slot, without adding its statement).
+func (x *expander) point(k batch.Key) {
+	g := x.g
+	loc, ts, slot := unpackKey(k)
+	if slot >= 0 {
+		x.use(loc, slot, ts, true)
+		return
+	}
+	x.stats.Instances++
+	if g.cfg.Shortcuts {
+		g.cShortcut.Inc()
+		cl := g.closureFor(loc)
+		if x.rec != nil {
+			x.observeClosure(loc, ts, cl)
+		}
+		x.exp.Stmts = append(x.exp.Stmts, cl.stmts...)
+		for _, u := range cl.uFront {
+			x.use(InstLoc{Node: loc.Node, Stmt: u.stmt}, u.slot, ts, !u.member)
+		}
+		for _, cf := range cl.cFront {
+			x.cd(loc.Node, cf.occ, ts, cf.via)
+		}
+		return
+	}
+	sc := &g.nodes[loc.Node].Stmts[loc.Stmt]
+	x.exp.Stmts = append(x.exp.Stmts, sc.S.ID)
+	x.rec.Visit(sc.S.ID, ts)
+	for s := range sc.S.Uses {
+		x.use(loc, int32(s), ts, false)
+	}
+	x.cd(loc.Node, sc.OccIdx, ts, loc.Stmt)
+}
+
+// observeClosure records shortcut membership: every closure statement
+// beyond the root is witnessed as one shortcut hop from the root
+// instance (all closure members share the root's timestamp — the
+// closure is the all-static, same-timestamp subgraph).
+func (x *expander) observeClosure(loc InstLoc, ts int64, cl *closure) {
+	n := x.g.nodes[loc.Node]
+	root := n.Stmts[loc.Stmt].S.ID
+	x.rec.Visit(root, ts)
+	for _, id := range cl.stmts {
+		if id == root {
+			continue
+		}
+		x.rec.Edge(root, ts, false, -1, id, ts, explain.KindShortcut, false)
+	}
+	// Frontier uses reached through SUU redirect chains belong to skipped
+	// statements: anchor them as use points so the dependence resolved
+	// there chains back to the root rather than dead-ending.
+	for _, u := range cl.uFront {
+		if u.member {
+			continue
+		}
+		x.rec.EdgeUse(root, ts, false, -1, n.Stmts[u.stmt].S.ID, u.slot, ts, explain.KindShortcut)
+	}
+}
+
+// use resolves one use slot; fromUse marks resolution on behalf of a
+// use-point redirect target (an OPT-2 chain) rather than an instance's
+// own use.
+func (x *expander) use(loc InstLoc, slot int32, ts int64, fromUse bool) {
+	d := x.g.resolveUseDep(loc, slot, ts, x.stats, x.cc, x.rec)
+	if x.rec != nil && d.kind != depNone {
+		from := x.g.StmtAt(loc).ID
+		if d.kind == depInst {
+			x.rec.Edge(from, ts, fromUse, slot, x.g.StmtAt(d.loc).ID, d.ts, d.why, false)
+		} else {
+			x.rec.EdgeUse(from, ts, fromUse, slot, x.g.StmtAt(d.loc).ID, d.slot, d.ts, d.why)
+		}
+	}
+	x.add(d)
+}
+
+// cd resolves the control dependence of one occurrence; fromSi is the
+// statement copy the edge is traversed on behalf of (for witnesses).
+func (x *expander) cd(node NodeID, occIdx int32, ts int64, fromSi int32) {
+	d := x.g.resolveCDDep(node, occIdx, ts, x.stats, x.cc, x.rec)
+	if x.rec != nil && d.kind == depInst {
+		from := x.g.nodes[node].Stmts[fromSi].S.ID
+		x.rec.Edge(from, ts, false, -1, x.g.StmtAt(d.loc).ID, d.ts, d.why, true)
+	}
+	x.add(d)
+}
+
+// add appends a resolved dependence as a downstream traversal point.
+func (x *expander) add(d dep) {
+	switch d.kind {
+	case depInst:
+		if d.ts < 0 || d.ts >= x.g.ts {
+			// Out of the executed timestamp range: an inference rule fired
+			// for a timestamp it has no evidence about (possible only after
+			// graph corruption); drop rather than fabricate instances.
+			return
+		}
+		x.exp.Targets = append(x.exp.Targets, optKey(d.loc, d.ts, -1))
+	case depUse:
+		x.exp.Targets = append(x.exp.Targets, optKey(d.loc, d.ts, d.slot))
+	}
 }
 
 // dep is the resolved dependence of one use slot or control edge: nothing
@@ -94,172 +253,6 @@ const (
 	depInst
 	depUse
 )
-
-// Slice implements slicing.Slicer. Address criteria resolve against the
-// graph's final last-definition table; statement-instance criteria are
-// supported through SliceAt (OPT timestamps are node ordinals, which are
-// not meaningful to callers holding FP ordinals).
-func (g *Graph) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, error) {
-	return g.SliceObserved(c, nil)
-}
-
-// SliceObserved implements slicing.Explainer: the same traversal as
-// Slice, recording each resolved dependence hop into rec when non-nil.
-func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slicing.Slice, *slicing.Stats, error) {
-	if c.Stmt >= 0 {
-		return nil, nil, fmt.Errorf("opt: statement-instance criteria require SliceAt (OPT timestamps are node ordinals)")
-	}
-	d, ok := g.defOf(c.Addr)
-	if !ok {
-		return nil, nil, fmt.Errorf("opt: address %d was never defined", c.Addr)
-	}
-	return g.SliceAtObserved(d.Loc, d.Ts, rec)
-}
-
-// SliceAt computes the dynamic slice of the statement-copy instance at loc
-// with node timestamp ts.
-func (g *Graph) SliceAt(loc InstLoc, ts int64) (*slicing.Slice, *slicing.Stats, error) {
-	return g.SliceAtObserved(loc, ts, nil)
-}
-
-// SliceAtObserved is SliceAt with an optional provenance recorder.
-func (g *Graph) SliceAtObserved(loc InstLoc, ts int64, rec *explain.Recorder) (*slicing.Slice, *slicing.Stats, error) {
-	st := getSliceState(g)
-	st.obs = rec
-	if rec != nil {
-		rec.Criterion(g.StmtAt(loc).ID, ts)
-	}
-	st.pushInstance(loc, ts)
-	for len(st.work) > 0 {
-		t := st.work[len(st.work)-1]
-		st.work = st.work[:len(st.work)-1]
-		if t.isUse {
-			st.resolveUse(t.loc, t.slot, t.ts, true)
-		} else {
-			st.processInstance(t.loc, t.ts)
-		}
-	}
-	out, stats := st.out, st.stats
-	st.release()
-	return out, stats, nil
-}
-
-func (st *sliceState) pushInstance(loc InstLoc, ts int64) {
-	if ts < 0 || ts >= st.g.ts {
-		// Out of the executed timestamp range: an inference rule fired for
-		// a timestamp it has no evidence about (possible only after graph
-		// corruption); drop rather than fabricate instances.
-		return
-	}
-	k := instKey{loc, ts}
-	if st.visited[k] {
-		return
-	}
-	st.visited[k] = true
-	st.work = append(st.work, task{loc: loc, ts: ts})
-}
-
-func (st *sliceState) pushUse(loc InstLoc, slot int32, ts int64) {
-	k := useKey{loc, slot, ts}
-	if st.seenUse[k] {
-		return
-	}
-	st.seenUse[k] = true
-	st.work = append(st.work, task{loc: loc, ts: ts, slot: slot, isUse: true})
-}
-
-func (st *sliceState) processInstance(loc InstLoc, ts int64) {
-	st.stats.Instances++
-	g := st.g
-	if g.cfg.Shortcuts {
-		g.cShortcut.Inc()
-		cl := g.closureFor(loc)
-		if st.obs != nil {
-			st.observeClosure(loc, ts, cl)
-		}
-		for _, id := range cl.stmts {
-			st.out.Add(id)
-		}
-		for _, u := range cl.uFront {
-			st.resolveUse(InstLoc{Node: loc.Node, Stmt: u.stmt}, u.slot, ts, !u.member)
-		}
-		for _, cf := range cl.cFront {
-			st.resolveCD(loc.Node, cf.occ, ts, cf.via)
-		}
-		return
-	}
-	n := g.nodes[loc.Node]
-	sc := &n.Stmts[loc.Stmt]
-	st.out.Add(sc.S.ID)
-	if st.obs != nil {
-		st.obs.Visit(sc.S.ID, ts)
-	}
-	for k := range sc.S.Uses {
-		st.resolveUse(loc, int32(k), ts, false)
-	}
-	st.resolveCD(loc.Node, sc.OccIdx, ts, loc.Stmt)
-}
-
-// observeClosure records shortcut membership: every closure statement
-// beyond the root is witnessed as one shortcut hop from the root
-// instance (all closure members share the root's timestamp — the
-// closure is the all-static, same-timestamp subgraph).
-func (st *sliceState) observeClosure(loc InstLoc, ts int64, cl *closure) {
-	n := st.g.nodes[loc.Node]
-	root := n.Stmts[loc.Stmt].S.ID
-	st.obs.Visit(root, ts)
-	for _, id := range cl.stmts {
-		if id == root {
-			continue
-		}
-		st.obs.Edge(root, ts, false, -1, id, ts, explain.KindShortcut, false)
-	}
-	// Frontier uses reached through SUU redirect chains belong to skipped
-	// statements: anchor them as use points so the dependence resolved
-	// there chains back to the root rather than dead-ending.
-	for _, u := range cl.uFront {
-		if u.member {
-			continue
-		}
-		st.obs.EdgeUse(root, ts, false, -1, n.Stmts[u.stmt].S.ID, u.slot, ts, explain.KindShortcut)
-	}
-}
-
-// resolveUse resolves one use slot; fromUse marks resolution on behalf of
-// a use-point redirect target (an OPT-2 chain) rather than an instance's
-// own use.
-func (st *sliceState) resolveUse(loc InstLoc, slot int32, ts int64, fromUse bool) {
-	d := st.g.resolveUseDep(loc, slot, ts, st.stats, nil, st.obs)
-	if st.obs != nil && d.kind != depNone {
-		from := st.g.nodes[loc.Node].Stmts[loc.Stmt].S.ID
-		switch d.kind {
-		case depInst:
-			st.obs.Edge(from, ts, fromUse, slot, st.g.StmtAt(d.loc).ID, d.ts, d.why, false)
-		case depUse:
-			st.obs.EdgeUse(from, ts, fromUse, slot, st.g.StmtAt(d.loc).ID, d.slot, d.ts, d.why)
-		}
-	}
-	switch d.kind {
-	case depInst:
-		st.pushInstance(d.loc, d.ts)
-	case depUse:
-		st.pushUse(d.loc, d.slot, d.ts)
-	}
-}
-
-// resolveCD resolves the control dependence of one occurrence; fromSi is
-// the statement copy the edge is traversed on behalf of (for witnesses).
-func (st *sliceState) resolveCD(node NodeID, occIdx int32, ts int64, fromSi int32) {
-	d := st.g.resolveCDDep(node, occIdx, ts, st.stats, nil, st.obs)
-	if d.kind != depInst {
-		return
-	}
-	if st.obs != nil {
-		from := st.g.nodes[node].Stmts[fromSi].S.ID
-		st.obs.Edge(from, ts, false, -1, st.g.StmtAt(d.loc).ID, d.ts, d.why, true)
-	}
-	st.pushInstance(d.loc, d.ts)
-}
 
 // resolveUseDep locates the dependence of one use slot at time ts.
 // Dynamic labels take precedence; the static edge is the fallback (paper
