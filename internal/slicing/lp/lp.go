@@ -24,6 +24,7 @@ package lp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"dynslice/internal/ir"
@@ -35,17 +36,17 @@ import (
 
 // Slicer answers slicing queries from an on-disk trace (or any other
 // segment Source). Queries may run concurrently: each opens its own
-// cursor, and the shared caches below are lock-guarded.
+// cursor, the layout table is read-only after construction, and the
+// subgraph statistic below is lock-guarded.
 type Slicer struct {
 	p    *ir.Program
 	path string
 	segs []*trace.Segment
 	src  Source
 
-	// offsets caches, per block, the cumulative record layout used to
-	// iterate a block execution's flat address array (layoutMu-guarded).
-	offsets  map[*ir.Block]blockLayout
-	layoutMu sync.RWMutex
+	// layouts holds, per BlockID, the record layout used to iterate a
+	// block execution's flat address array.
+	layouts []blockLayout
 
 	// MaxSubgraphEdges tracks the largest demand-built subgraph (in
 	// resolved dependence edges) over all queries, for the paper's Table 6.
@@ -70,7 +71,7 @@ type blockLayout struct {
 
 // New returns an LP slicer over a trace file written by trace.Writer.
 func New(p *ir.Program, tracePath string, segs []*trace.Segment) *Slicer {
-	s := &Slicer{p: p, path: tracePath, segs: segs, offsets: map[*ir.Block]blockLayout{}}
+	s := &Slicer{p: p, path: tracePath, segs: segs, layouts: buildLayouts(p)}
 	s.src = &fileSource{s: s}
 	return s
 }
@@ -79,7 +80,7 @@ func New(p *ir.Program, tracePath string, segs []*trace.Segment) *Slicer {
 // segments through src instead of the trace file — the reexec backend's
 // entry point into the shared traversal.
 func NewFromSource(p *ir.Program, segs []*trace.Segment, src Source) *Slicer {
-	return &Slicer{p: p, segs: segs, src: src, offsets: map[*ir.Block]blockLayout{}}
+	return &Slicer{p: p, segs: segs, src: src, layouts: buildLayouts(p)}
 }
 
 // SetTelemetry mints the LP counters on reg and attaches trace-read
@@ -102,31 +103,34 @@ func (s *Slicer) SetTelemetryNamed(reg *telemetry.Registry, ns string) {
 	s.cEdges = reg.Counter(ns + ".subgraph_edges")
 }
 
-func (s *Slicer) layout(b *ir.Block) blockLayout {
-	s.layoutMu.RLock()
-	l, ok := s.offsets[b]
-	s.layoutMu.RUnlock()
-	if ok {
-		return l
+// buildLayouts computes every block's record layout, indexed by BlockID,
+// with the per-statement offsets of all blocks sharing one array.
+func buildLayouts(p *ir.Program) []blockLayout {
+	n := 0
+	for _, b := range p.Blocks {
+		n += len(b.Stmts)
 	}
-	l = blockLayout{useOff: make([]int, len(b.Stmts)), defOff: make([]int, len(b.Stmts))}
-	off := 0
-	for i, st := range b.Stmts {
-		l.useOff[i] = off
-		if st.Op == ir.OpDeclArr {
-			off += 2 // start, length
-			l.defOff[i] = l.useOff[i]
-			continue
+	offs := make([]int, 2*n)
+	ls := make([]blockLayout, len(p.Blocks))
+	for _, b := range p.Blocks {
+		k := len(b.Stmts)
+		l := &ls[b.ID]
+		l.useOff, l.defOff, offs = offs[:k:k], offs[k:2*k:2*k], offs[2*k:]
+		off := 0
+		for i, st := range b.Stmts {
+			l.useOff[i] = off
+			if st.Op == ir.OpDeclArr {
+				off += 2 // start, length
+				l.defOff[i] = l.useOff[i]
+				continue
+			}
+			off += len(st.Uses)
+			l.defOff[i] = off
+			off += st.NumDefs
 		}
-		off += len(st.Uses)
-		l.defOff[i] = off
-		off += st.NumDefs
+		l.total = off
 	}
-	l.total = off
-	s.layoutMu.Lock()
-	s.offsets[b] = l
-	s.layoutMu.Unlock()
-	return l
+	return ls
 }
 
 // pos is a trace position: block ordinal plus statement index.
@@ -153,16 +157,16 @@ type defNeed struct {
 	slot int32 // consumer statement + use slot, for witness recording
 }
 
+// cdNeed awaits the control ancestor of one block instance: the latest
+// earlier execution, in the same frame, of a block in
+// block.CDAncestors. A block with no ancestors is entry-like and resolves
+// at the call that created its frame.
 type cdNeed struct {
-	fn        *ir.Func
-	ancestors map[ir.BlockID]bool
-	entryLike bool  // no intraprocedural ancestors: resolve at the frame-creating call
-	startOrd  int64 // only consider block executions strictly before this
-	depth     int
-	mask      uint64
-	done      bool
-	fromStmt  ir.StmtID // instance the control need was created for
-	fromOrd   int64
+	block    *ir.Block
+	startOrd int64 // the instance's ordinal: only earlier executions match
+	depth    int   // callee frames between the scan position and the instance's frame
+	mask     uint64
+	fromStmt ir.StmtID // instance the control need was created for
 }
 
 // locCrit is a pending statement-instance criterion (mode B).
@@ -178,7 +182,7 @@ type query struct {
 	outs     []*slicing.Slice // one per criterion bit
 	stats    *slicing.Stats
 	needDefs map[int64][]defNeed
-	needCDs  []*cdNeed
+	needCDs  []cdNeed // pending control needs only, in creation order
 	edges    int64
 
 	// Visited words, flat instead of map[{id, ord}]uint64: admit only ever
@@ -270,37 +274,14 @@ func (s *Slicer) sliceAll(cs []slicing.Criterion, obs *explain.Recorder) ([]*sli
 	stats := &slicing.Stats{}
 	var edges int64
 	for base := 0; base < len(cs); base += 64 {
-		chunk := min(64, len(cs)-base)
-		q := &query{
-			s:         s,
-			outs:      make([]*slicing.Slice, chunk),
-			stats:     stats,
-			needDefs:  map[int64][]defNeed{},
-			visStamp:  newStamps(len(s.p.Stmts)),
-			visMask:   make([]uint64, len(s.p.Stmts)),
-			cdStamp:   newStamps(len(s.p.Blocks)),
-			cdMask:    make([]uint64, len(s.p.Blocks)),
-			seedAddrs: map[int64]uint64{},
-			obs:       obs,
-		}
-		for j := 0; j < chunk; j++ {
-			c := cs[base+j]
-			q.outs[j] = slicing.NewSlice()
-			bit := uint64(1) << j
-			if c.Stmt >= 0 {
-				q.locs = append(q.locs, locCrit{stmt: c.Stmt, ord: c.TS, mask: bit})
-				q.hitMask |= bit // mode B has no never-defined failure case
-			} else {
-				q.seedAddrs[c.Addr] |= bit
-				q.needDefs[c.Addr] = append(q.needDefs[c.Addr], defNeed{use: pos{ord: seedOrd}, mask: bit})
-			}
-		}
+		chunk := cs[base:min(base+64, len(cs))]
+		q := s.newQuery(chunk, stats, obs)
 		if err := q.scan(); err != nil {
 			return nil, nil, err
 		}
-		for j := 0; j < chunk; j++ {
+		for j := range chunk {
 			if q.hitMask&(uint64(1)<<j) == 0 {
-				return nil, nil, fmt.Errorf("lp: address %d was never defined", cs[base+j].Addr)
+				return nil, nil, fmt.Errorf("lp: address %d was never defined", chunk[j].Addr)
 			}
 			outs[base+j] = q.outs[j]
 		}
@@ -317,6 +298,34 @@ func (s *Slicer) sliceAll(cs []slicing.Criterion, obs *explain.Recorder) ([]*sli
 	s.cSegBytes.Add(stats.SegBytes)
 	s.cEdges.Add(edges)
 	return outs, stats, nil
+}
+
+// newQuery seeds one scan for up to 64 criteria, bit j serving cs[j].
+func (s *Slicer) newQuery(cs []slicing.Criterion, stats *slicing.Stats, obs *explain.Recorder) *query {
+	q := &query{
+		s:         s,
+		outs:      make([]*slicing.Slice, len(cs)),
+		stats:     stats,
+		needDefs:  map[int64][]defNeed{},
+		visStamp:  newStamps(len(s.p.Stmts)),
+		visMask:   make([]uint64, len(s.p.Stmts)),
+		cdStamp:   newStamps(len(s.p.Blocks)),
+		cdMask:    make([]uint64, len(s.p.Blocks)),
+		seedAddrs: map[int64]uint64{},
+		obs:       obs,
+	}
+	for j, c := range cs {
+		q.outs[j] = slicing.NewSlice()
+		bit := uint64(1) << j
+		if c.Stmt >= 0 {
+			q.locs = append(q.locs, locCrit{stmt: c.Stmt, ord: c.TS, mask: bit})
+			q.hitMask |= bit // mode B has no never-defined failure case
+		} else {
+			q.seedAddrs[c.Addr] |= bit
+			q.needDefs[c.Addr] = append(q.needDefs[c.Addr], defNeed{use: pos{ord: seedOrd}, mask: bit})
+		}
+	}
+	return q
 }
 
 func (q *query) scan() error {
@@ -345,7 +354,6 @@ func (q *query) scan() error {
 			q.processBlockExec(&execs[i])
 		}
 		q.recycleBufs(execs)
-		q.compactCDs()
 	}
 	return nil
 }
@@ -396,7 +404,7 @@ func (q *query) canSkip(seg *trace.Segment) bool {
 }
 
 func (q *query) processBlockExec(be *BlockExec) {
-	lay := q.s.layout(be.B)
+	lay := &q.s.layouts[be.B.ID]
 
 	// Locate criterion instances.
 	for i := range q.locs {
@@ -436,7 +444,7 @@ func (q *query) processBlockExec(be *BlockExec) {
 
 // resolveDefs satisfies pending needs on address a with the definition at
 // position here.
-func (q *query) resolveDefs(st *ir.Stmt, be *BlockExec, lay blockLayout, here pos, a int64) {
+func (q *query) resolveDefs(st *ir.Stmt, be *BlockExec, lay *blockLayout, here pos, a int64) {
 	needs := q.needDefs[a]
 	if len(needs) == 0 {
 		return
@@ -467,7 +475,7 @@ func (q *query) resolveDefs(st *ir.Stmt, be *BlockExec, lay blockLayout, here po
 	}
 }
 
-func (q *query) resolveRegion(st *ir.Stmt, be *BlockExec, lay blockLayout, here pos, start, length int64) {
+func (q *query) resolveRegion(st *ir.Stmt, be *BlockExec, lay *blockLayout, here pos, start, length int64) {
 	var hit uint64
 	for a := range q.needDefs {
 		if a < start || a >= start+length {
@@ -511,7 +519,7 @@ func newStamps(n int) []int64 {
 
 // admit adds a statement instance to the slices in mask and queues its
 // needs for the criteria bits that reach it for the first time.
-func (q *query) admit(st *ir.Stmt, be *BlockExec, lay blockLayout, mask uint64) {
+func (q *query) admit(st *ir.Stmt, be *BlockExec, lay *blockLayout, mask uint64) {
 	if q.visStamp[st.ID] != be.Ord {
 		q.visStamp[st.ID] = be.Ord
 		q.visMask[st.ID] = 0
@@ -550,8 +558,7 @@ func (q *query) admit(st *ir.Stmt, be *BlockExec, lay blockLayout, mask uint64) 
 		return
 	}
 	q.cdMask[st.Block.ID] |= cnv
-	ancs := st.Block.CDAncestors
-	if len(ancs) == 0 {
+	if len(st.Block.CDAncestors) == 0 {
 		// Only function entries carry the interprocedural (call-site)
 		// control dependence; other ancestor-free blocks execute
 		// unconditionally within their frame (see the FP builder).
@@ -559,59 +566,54 @@ func (q *query) admit(st *ir.Stmt, be *BlockExec, lay blockLayout, mask uint64) 
 			return
 		}
 	}
-	n := &cdNeed{fn: st.Block.Fn, ancestors: map[ir.BlockID]bool{}, startOrd: be.Ord, mask: cnv,
-		fromStmt: st.ID, fromOrd: be.Ord}
-	for _, ab := range ancs {
-		n.ancestors[ab.ID] = true
-	}
-	n.entryLike = len(ancs) == 0
-	q.needCDs = append(q.needCDs, n)
+	q.needCDs = append(q.needCDs, cdNeed{block: st.Block, startOrd: be.Ord, mask: cnv, fromStmt: st.ID})
 }
 
-// updateCDs advances every pending control need over this block execution.
-func (q *query) updateCDs(be *BlockExec, lay blockLayout) {
-	for _, n := range q.needCDs {
-		if n.done || be.Ord >= n.startOrd {
-			continue
-		}
-		term := be.B.Terminator()
-		if term != nil && term.Op == ir.OpReturn {
-			n.depth++
-			continue
-		}
-		if term != nil && term.Op == ir.OpCall {
-			if n.depth == 0 {
+// updateCDs advances every pending control need over this block
+// execution and drops the needs it resolves at once, compacting needCDs
+// in place, so later block executions walk only live needs. Needs that
+// admit appends meanwhile carry this block execution's ordinal, so they
+// are not yet eligible; they follow the survivors in creation order.
+func (q *query) updateCDs(be *BlockExec, lay *blockLayout) {
+	pending := len(q.needCDs)
+	if pending == 0 {
+		return
+	}
+	term := be.B.Terminator()
+	kept := 0
+	for i := 0; i < pending; i++ {
+		// admit may grow (and move) needCDs: index it afresh each time.
+		n := q.needCDs[i]
+		if be.Ord < n.startOrd {
+			switch {
+			case term != nil && term.Op == ir.OpReturn:
+				n.depth++
+			case term != nil && term.Op == ir.OpCall && n.depth > 0:
+				// A same-frame call block is never a branch ancestor; it
+				// only unwinds the depth count.
+				n.depth--
+			case term != nil && term.Op == ir.OpCall:
 				// Frame-creating call: resolves entry-like needs; intra-
 				// procedural needs cannot match beyond this boundary.
-				if n.entryLike {
-					q.edges++
-					q.obs.Edge(n.fromStmt, n.fromOrd, false, -1, term.ID, be.Ord, explain.KindExplicit, true)
-					q.admit(term, be, lay, n.mask)
+				if len(n.block.CDAncestors) == 0 {
+					q.resolveCD(n, term, be, lay)
 				}
-				n.done = true
+				continue
+			case n.depth == 0 && slices.Contains(n.block.CDAncestors, be.B):
+				q.resolveCD(n, term, be, lay)
 				continue
 			}
-			n.depth--
-			// A same-frame call block is never a branch ancestor; fall
-			// through only for depth accounting.
-			continue
 		}
-		if n.depth == 0 && n.ancestors[be.B.ID] {
-			q.edges++
-			term := be.B.Terminator()
-			q.obs.Edge(n.fromStmt, n.fromOrd, false, -1, term.ID, be.Ord, explain.KindExplicit, true)
-			q.admit(term, be, lay, n.mask)
-			n.done = true
-		}
+		q.needCDs[kept] = n
+		kept++
 	}
+	q.needCDs = append(q.needCDs[:kept], q.needCDs[pending:]...)
 }
 
-func (q *query) compactCDs() {
-	kept := q.needCDs[:0]
-	for _, n := range q.needCDs {
-		if !n.done {
-			kept = append(kept, n)
-		}
-	}
-	q.needCDs = kept
+// resolveCD admits term, the terminator of block execution be, as the
+// control ancestor that n awaited.
+func (q *query) resolveCD(n cdNeed, term *ir.Stmt, be *BlockExec, lay *blockLayout) {
+	q.edges++
+	q.obs.Edge(n.fromStmt, n.startOrd, false, -1, term.ID, be.Ord, explain.KindExplicit, true)
+	q.admit(term, be, lay, n.mask)
 }

@@ -199,8 +199,8 @@ func TestSliceAllErrors(t *testing.T) {
 }
 
 // TestConcurrentSlice runs sequential and batched LP queries from many
-// goroutines over one slicer; under -race this validates the layout-cache
-// and MaxSubgraphEdges guards.
+// goroutines over one slicer; under -race this validates the lock-free
+// reads of the layout table and the MaxSubgraphEdges guard.
 func TestConcurrentSlice(t *testing.T) {
 	s, addrs := buildBatchLP(t, 16)
 	cs := make([]slicing.Criterion, len(addrs))

@@ -24,14 +24,17 @@ type BlockExec struct {
 // the interpreter from checkpoints.
 type Source interface {
 	// Open starts one query's backward scan. Each query opens its own
-	// cursor, so concurrent queries never share mutable state.
+	// cursor, so concurrent queries never share mutable state: the
+	// arrays a cursor reuses from one Segment call to the next belong
+	// to its one scan.
 	Open() (Cursor, error)
 }
 
 // Cursor serves one backward scan's segment requests. The traversal
-// requests segments in strictly descending order and each at most once;
-// ownership of the returned slice and of each entry's Addrs buffer
-// passes to the caller (which recycles the buffers into alloc).
+// requests segments in strictly descending order and each at most once.
+// A returned slice is valid until the next Segment call, so a cursor may
+// reuse its array; ownership of each entry's Addrs buffer passes to the
+// caller (which recycles the buffers into alloc).
 type Cursor interface {
 	// Segment materializes seg's block executions in execution order.
 	// alloc returns an empty address buffer with at least the given
@@ -45,7 +48,7 @@ type Cursor interface {
 // the flat layout's total slot count. External Sources size the buffers
 // they request through alloc with it so the traversal's indexing (which
 // uses the same layout) lines up exactly.
-func (s *Slicer) BufSize(b *ir.Block) int { return s.layout(b).total }
+func (s *Slicer) BufSize(b *ir.Block) int { return s.layouts[b.ID].total }
 
 // fileSource is the default Source: seek + decode of the trace file
 // written during the recording.
@@ -62,8 +65,9 @@ func (fs *fileSource) Open() (Cursor, error) {
 }
 
 type fileCursor struct {
-	s *Slicer
-	f *os.File
+	s     *Slicer
+	f     *os.File
+	execs []BlockExec // the last segment's array, reused when big enough
 }
 
 func (c *fileCursor) Close() error { return c.f.Close() }
@@ -75,7 +79,10 @@ func (c *fileCursor) Segment(seg *trace.Segment, alloc func(int) []int64) ([]Blo
 	d := trace.NewDecoder(c.s.p, c.f, seg.StartOrd)
 	d.SetMetrics(c.s.met)
 	n := seg.EndOrd - seg.StartOrd
-	execs := make([]BlockExec, 0, n)
+	if int64(cap(c.execs)) < n {
+		c.execs = make([]BlockExec, 0, n)
+	}
+	execs := c.execs[:0] // the appends below stay within cap n
 	var cur *BlockExec
 	for int64(len(execs)) < n {
 		ev, err := d.Next()
@@ -86,7 +93,7 @@ func (c *fileCursor) Segment(seg *trace.Segment, alloc func(int) []int64) ([]Blo
 		case trace.EvBlock:
 			execs = append(execs, BlockExec{B: ev.Block, Ord: ev.Ord})
 			cur = &execs[len(execs)-1]
-			cur.Addrs = alloc(c.s.layout(ev.Block).total)
+			cur.Addrs = alloc(c.s.layouts[ev.Block.ID].total)
 		case trace.EvStmt:
 			cur.Addrs = append(cur.Addrs, ev.Uses...)
 			cur.Addrs = append(cur.Addrs, ev.Defs...)
@@ -99,8 +106,7 @@ func (c *fileCursor) Segment(seg *trace.Segment, alloc func(int) []int64) ([]Blo
 	// The loop exits after appending the segment's last block record; its
 	// statement records still follow. Decode until the next block record
 	// or end.
-	lay := c.s.layout(cur.B)
-	for len(cur.Addrs) < lay.total {
+	for total := c.s.layouts[cur.B.ID].total; len(cur.Addrs) < total; {
 		ev, err := d.Next()
 		if err != nil {
 			return nil, err

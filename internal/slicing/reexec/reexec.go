@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"dynslice/internal/interp"
 	"dynslice/internal/ir"
@@ -148,8 +147,7 @@ func (es *execSource) Open() (lp.Cursor, error) {
 }
 
 func classifySummary(err error) string {
-	msg := err.Error()
-	if strings.Contains(msg, "truncated") || strings.Contains(msg, "overruns") {
+	if errors.Is(err, trace.ErrSummaryTruncated) {
 		return ClassSummaryTruncated
 	}
 	return ClassSummaryGap
@@ -209,8 +207,14 @@ func (c *cursor) fill(seg *trace.Segment, alloc func(int) []int64) error {
 	if seg.EndOrd-lo > c.src.o.MaxWindowBlocks {
 		lo = seg.StartOrd
 	}
-	col := &collector{core: c.src.core, lo: lo, alloc: alloc}
-	col.execs = make([]lp.BlockExec, 0, seg.EndOrd-lo)
+	// The traversal is done with the previous window once it asks for a
+	// segment outside it (see lp.Cursor), so its array can be reused. The
+	// window stays unset until the fill succeeds.
+	col := &collector{core: c.src.core, lo: lo, alloc: alloc, execs: c.win[:0]}
+	c.win = nil
+	if n := seg.EndOrd - lo; int64(cap(col.execs)) < n {
+		col.execs = make([]lp.BlockExec, 0, n)
+	}
 	res, err := interp.Resume(c.src.p, cp, interp.ResumeOptions{
 		Input:    c.src.o.Input,
 		MaxSteps: c.src.o.MaxSteps,

@@ -1,8 +1,11 @@
 package reexec_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"dynslice/internal/compile"
@@ -104,6 +107,15 @@ func globalAddrs(p *ir.Program) []int64 {
 	return out
 }
 
+// sameStats requires re-execution to report the traversal effort LP
+// reports: both run the same scan over the same summaries.
+func sameStats(t *testing.T, name string, got, want *slicing.Stats) {
+	t.Helper()
+	if *got != *want {
+		t.Fatalf("%s: stats %+v, want %+v", name, *got, *want)
+	}
+}
+
 func sameSlice(t *testing.T, name string, got, want *slicing.Slice) {
 	t.Helper()
 	g, w := got.Stmts(), want.Stmts()
@@ -117,16 +129,16 @@ func sameSlice(t *testing.T, name string, got, want *slicing.Slice) {
 	}
 }
 
-// TestMatchesLP: for every global address, the re-execution slice must
-// be identical to the LP slice over the recorded trace.
+// TestMatchesLP: for every global address, the re-execution slice and
+// stats must be identical to LP's over the recorded trace.
 func TestMatchesLP(t *testing.T) {
 	rec := record(t, rexSrc, 16, 32, 41)
 	ref := lp.New(rec.p, rec.path, rec.segs)
 	rx := reexec.New(rec.p, rec.segs, rec.reexecOpts())
 	for _, a := range globalAddrs(rec.p) {
 		c := slicing.AddrCriterion(a)
-		want, _, werr := ref.Slice(c)
-		got, _, gerr := rx.Slice(c)
+		want, wst, werr := ref.Slice(c)
+		got, gst, gerr := rx.Slice(c)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("addr %d: lp err=%v, reexec err=%v", a, werr, gerr)
 		}
@@ -134,7 +146,57 @@ func TestMatchesLP(t *testing.T) {
 			continue
 		}
 		sameSlice(t, "addr", got, want)
+		sameStats(t, "addr", gst, wst)
 	}
+}
+
+// TestConcurrentSlice runs single and batched queries from many
+// goroutines over one re-execution slicer and compares them against the
+// sequential answers; under -race this covers the shared layout table
+// and each query's reused windows.
+func TestConcurrentSlice(t *testing.T) {
+	rec := record(t, rexSrc, 16, 32, 41)
+	rx := reexec.New(rec.p, rec.segs, rec.reexecOpts())
+	var cs []slicing.Criterion
+	var want []*slicing.Slice
+	for _, a := range globalAddrs(rec.p) {
+		c := slicing.AddrCriterion(a)
+		sl, _, err := rx.Slice(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+		want = append(want, sl)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if w%2 == 0 {
+				for i, c := range cs {
+					sl, _, err := rx.Slice(c)
+					if err != nil || !sl.Equal(want[i]) {
+						t.Errorf("worker %d: addr %d diverged (err=%v)", w, c.Addr, err)
+						return
+					}
+				}
+				return
+			}
+			outs, _, err := rx.SliceAll(cs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range outs {
+				if !outs[i].Equal(want[i]) {
+					t.Errorf("worker %d: batched addr %d diverged", w, cs[i].Addr)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestMatchesLPNoCheckpoints: with no checkpoints every window resumes
@@ -156,7 +218,7 @@ func TestMatchesLPNoCheckpoints(t *testing.T) {
 }
 
 // TestBatchMatchesLP: batched resolution shares windows across the
-// chunk; results must match LP's batch.
+// chunk; slices and stats must match LP's batch.
 func TestBatchMatchesLP(t *testing.T) {
 	rec := record(t, rexSrc, 16, 32, 41)
 	ref := lp.New(rec.p, rec.path, rec.segs)
@@ -165,11 +227,11 @@ func TestBatchMatchesLP(t *testing.T) {
 	for _, a := range globalAddrs(rec.p) {
 		cs = append(cs, slicing.AddrCriterion(a))
 	}
-	want, _, err := ref.SliceAll(cs)
+	want, wst, err := ref.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := rx.SliceAll(cs)
+	got, gst, err := rx.SliceAll(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +241,7 @@ func TestBatchMatchesLP(t *testing.T) {
 	for i := range want {
 		sameSlice(t, "batch", got[i], want[i])
 	}
+	sameStats(t, "batch", gst, wst)
 }
 
 // TestTinyWindow forces MaxWindowBlocks below the segment span so every
@@ -266,6 +329,44 @@ func TestTruncatedSummarySection(t *testing.T) {
 	}
 }
 
+// TestSummaryFaultClasses: every way a summary index can fail to tile
+// the recorded run is classified by the defect's type, not its message.
+func TestSummaryFaultClasses(t *testing.T) {
+	rec := record(t, rexSrc, 16, 32, 41)
+	if len(rec.segs) < 4 {
+		t.Fatalf("trace too short: %d segments", len(rec.segs))
+	}
+	segs := rec.segs
+	total := rec.res.BlockExecs
+	empty := &trace.Segment{StartOrd: segs[1].StartOrd, EndOrd: segs[1].StartOrd, Blocks: segs[1].Blocks}
+	cases := []struct {
+		name  string
+		segs  []*trace.Segment
+		total int64
+		class string
+		is    error
+	}{
+		{"empty index", nil, total, reexec.ClassSummaryGap, trace.ErrSummaryGap},
+		{"gap", slices.Concat(segs[:1], segs[2:]), total, reexec.ClassSummaryGap, trace.ErrSummaryGap},
+		{"overlap", slices.Concat(segs[:2], segs[1:]), total, reexec.ClassSummaryGap, trace.ErrSummaryGap},
+		{"empty segment", slices.Concat(segs[:1], []*trace.Segment{empty}, segs[1:]), total, reexec.ClassSummaryGap, trace.ErrSummaryGap},
+		{"truncated", segs[:len(segs)-1], total, reexec.ClassSummaryTruncated, trace.ErrSummaryTruncated},
+		{"overrun", segs, total - 1, reexec.ClassSummaryTruncated, trace.ErrSummaryTruncated},
+	}
+	for _, c := range cases {
+		o := rec.reexecOpts()
+		o.TotalBlocks = c.total
+		rx := reexec.New(rec.p, c.segs, o)
+		_, _, err := rx.Slice(slicing.AddrCriterion(globalAddr(rec.p, "late")))
+		if got := reexec.Classify(err); got != c.class {
+			t.Errorf("%s: classified %q, want %q: %v", c.name, got, c.class, err)
+		}
+		if !errors.Is(err, c.is) {
+			t.Errorf("%s: error %v does not wrap %v", c.name, err, c.is)
+		}
+	}
+}
+
 // TestFinalPartialSegment: a criterion defined in the last, partial
 // segment (trace length not a multiple of segBlocks) resolves normally.
 func TestFinalPartialSegment(t *testing.T) {
@@ -333,20 +434,21 @@ func TestExecFault(t *testing.T) {
 }
 
 // TestObservedMatchesLP: explain queries run through the same traversal
-// and must agree on the witness graph's criterion set.
+// and must agree on the slice and the stats.
 func TestObservedMatchesLP(t *testing.T) {
 	rec := record(t, rexSrc, 16, 32, 41)
 	ref := lp.New(rec.p, rec.path, rec.segs)
 	rx := reexec.New(rec.p, rec.segs, rec.reexecOpts())
 	a := globalAddr(rec.p, "acc")
 	wrec, grec := explain.NewRecorder(), explain.NewRecorder()
-	want, _, err := ref.SliceObserved(slicing.AddrCriterion(a), wrec)
+	want, wst, err := ref.SliceObserved(slicing.AddrCriterion(a), wrec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := rx.SliceObserved(slicing.AddrCriterion(a), grec)
+	got, gst, err := rx.SliceObserved(slicing.AddrCriterion(a), grec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSlice(t, "observed", got, want)
+	sameStats(t, "observed", gst, wst)
 }

@@ -205,7 +205,7 @@ func Read(path string, p *ir.Program, key Key) (*Image, error) {
 	if err := img.decodeMeta(payload[secMeta], key); err != nil {
 		return nil, err
 	}
-	segs, rest, err := trace.DecodeSegments(payload[secSegs])
+	segs, rest, err := trace.DecodeSegments(payload[secSegs], len(p.Blocks))
 	if err != nil {
 		return nil, err
 	}

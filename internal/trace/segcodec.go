@@ -50,18 +50,22 @@ func appendSparseWords(dst []byte, words []uint64) []byte {
 	return dst
 }
 
-// DecodeSegments parses an AppendSegments run, returning the segments
-// and the unconsumed remainder. Errors are classified
-// *labelblock.CorruptError values.
-func DecodeSegments(data []byte) ([]*Segment, []byte, error) {
+// minSegmentBytes is the smallest encoding of one segment: three
+// one-byte varints, the flags byte, and two empty bitsets (length and
+// population, one byte each).
+const minSegmentBytes = 8
+
+// DecodeSegments parses an AppendSegments run of summaries over a
+// program with numBlocks blocks, returning the segments and the
+// unconsumed remainder. Errors are classified *labelblock.CorruptError
+// values. Allocation is bounded by len(data) and numBlocks, whatever the
+// encoded counts claim.
+func DecodeSegments(data []byte, numBlocks int) ([]*Segment, []byte, error) {
 	count, data, err := labelblock.DecodeUvarint(data, "trace: segment count")
 	if err != nil {
 		return nil, nil, err
 	}
-	if count > 1<<28 {
-		return nil, nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: implausible segment count %d", count)
-	}
-	segs := make([]*Segment, 0, count)
+	segs := make([]*Segment, 0, min(count, uint64(len(data)/minSegmentBytes)))
 	for i := uint64(0); i < count; i++ {
 		s := &Segment{}
 		var so, eo, off uint64
@@ -83,12 +87,11 @@ func DecodeSegments(data []byte) ([]*Segment, []byte, error) {
 		}
 		s.DefsAll = data[0] != 0
 		data = data[1:]
-		var words []uint64
-		if words, data, err = decodeSparseWords(data, nil); err != nil {
+		s.Blocks = newBlockSet(numBlocks)
+		if data, err = decodeSparseWords(data, s.Blocks); err != nil {
 			return nil, nil, err
 		}
-		s.Blocks = words
-		if _, data, err = decodeSparseWords(data, s.Defs.bits[:]); err != nil {
+		if data, err = decodeSparseWords(data, s.Defs.bits[:]); err != nil {
 			return nil, nil, err
 		}
 		segs = append(segs, s)
@@ -96,42 +99,35 @@ func DecodeSegments(data []byte) ([]*Segment, []byte, error) {
 	return segs, data, nil
 }
 
-// decodeSparseWords parses an appendSparseWords run into into (when
-// non-nil, which also pins the expected length) or a fresh slice.
-func decodeSparseWords(data []byte, into []uint64) ([]uint64, []byte, error) {
+// decodeSparseWords parses an appendSparseWords run into into, whose
+// length the encoded bitset length must equal.
+func decodeSparseWords(data []byte, into []uint64) ([]byte, error) {
 	n, data, err := labelblock.DecodeUvarint(data, "trace: bitset length")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if into != nil && n != uint64(len(into)) {
-		return nil, nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: bitset of %d words, want %d", n, len(into))
-	}
-	if n > 1<<26 {
-		return nil, nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: implausible bitset length %d", n)
+	if n != uint64(len(into)) {
+		return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: bitset of %d words, want %d", n, len(into))
 	}
 	nz, data, err := labelblock.DecodeUvarint(data, "trace: bitset population")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if nz > n {
-		return nil, nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: %d non-zero words in a %d-word bitset", nz, n)
-	}
-	words := into
-	if words == nil {
-		words = make([]uint64, n)
+		return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: %d non-zero words in a %d-word bitset", nz, n)
 	}
 	for i := uint64(0); i < nz; i++ {
 		var idx, w uint64
 		if idx, data, err = labelblock.DecodeUvarint(data, "trace: bitset word index"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if w, data, err = labelblock.DecodeUvarint(data, "trace: bitset word"); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if idx >= n {
-			return nil, nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: bitset word index %d out of range", idx)
+			return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "trace: bitset word index %d out of range", idx)
 		}
-		words[idx] = w
+		into[idx] = w
 	}
-	return words, data, nil
+	return data, nil
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -32,16 +33,17 @@ func TestValidateSegments(t *testing.T) {
 		segs  []*Segment
 		total int64
 		want  string // substring of the error; "" = healthy
+		is    error  // the sentinel the error wraps
 	}{
-		{"healthy", []*Segment{seg(0, 64), seg(64, 100)}, 100, ""},
-		{"empty-ok", nil, 0, ""},
-		{"empty-missing", nil, 10, "index empty"},
-		{"head-gap", []*Segment{seg(64, 128)}, 128, "gap before segment 0"},
-		{"mid-gap", []*Segment{seg(0, 64), seg(128, 150)}, 150, "gap before segment 1"},
-		{"overlap", []*Segment{seg(0, 64), seg(32, 100)}, 100, "overlap at segment 1"},
-		{"empty-seg", []*Segment{seg(0, 64), seg(64, 64)}, 64, "segment 1 is empty"},
-		{"truncated", []*Segment{seg(0, 64)}, 150, "truncated"},
-		{"overrun", []*Segment{seg(0, 64)}, 50, "overruns"},
+		{"healthy", []*Segment{seg(0, 64), seg(64, 100)}, 100, "", nil},
+		{"empty-ok", nil, 0, "", nil},
+		{"empty-missing", nil, 10, "index empty", ErrSummaryGap},
+		{"head-gap", []*Segment{seg(64, 128)}, 128, "gap before segment 0", ErrSummaryGap},
+		{"mid-gap", []*Segment{seg(0, 64), seg(128, 150)}, 150, "gap before segment 1", ErrSummaryGap},
+		{"overlap", []*Segment{seg(0, 64), seg(32, 100)}, 100, "overlap at segment 1", ErrSummaryGap},
+		{"empty-seg", []*Segment{seg(0, 64), seg(64, 64)}, 64, "segment 1 is empty", ErrSummaryGap},
+		{"truncated", []*Segment{seg(0, 64)}, 150, "truncated", ErrSummaryTruncated},
+		{"overrun", []*Segment{seg(0, 64)}, 50, "overruns", ErrSummaryTruncated},
 	}
 	for _, c := range cases {
 		err := ValidateSegments(c.segs, c.total)
@@ -53,6 +55,9 @@ func TestValidateSegments(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error = %v, want substring %q", c.name, err, c.want)
+		}
+		if !errors.Is(err, c.is) {
+			t.Errorf("%s: error %v does not wrap %v", c.name, err, c.is)
 		}
 	}
 }
