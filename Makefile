@@ -40,6 +40,7 @@ fuzz-native:
 	$(GO) test -fuzz FuzzGeneratedEquivalence -fuzztime 10s ./internal/fuzzgen/
 	$(GO) test -fuzz FuzzTraceReader -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzDecodeSegments -fuzztime 10s ./internal/trace/
+	$(GO) test -fuzz FuzzLabelsFindRoundTrip -fuzztime 10s ./internal/slicing/opt/
 
 # Guard: a disabled telemetry registry may cost at most 5% over none.
 overhead:

@@ -7,10 +7,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dynslice/internal/slicing/plan"
-	"dynslice/internal/telemetry/qtrace"
 	"dynslice/internal/telemetry/querylog"
 )
 
@@ -99,11 +97,16 @@ func newEngine(r *Recording, o EngineOptions) *QueryEngine {
 // can answer the query shape.
 var errNoBackend = errors.New("slicer: no backend available for this query")
 
-// dispatch plans one query shape and walks the fallback ladder: the
-// chosen backend first, then the remaining candidates cheapest-first.
-// Backend faults (a desynced re-execution, a missing trace file) move
-// down the ladder; criterion errors are terminal — every backend would
-// reject the same address the same way, because answers never differ.
+// run answers a cache miss — one criterion, a batch, or an explain, by
+// kind — and returns the answer with the backend that computed it. A
+// fixed engine asks its one backend. A planned engine plans the query's
+// shape and walks the fallback ladder: the chosen backend first, then
+// the remaining candidates cheapest-first. Backend faults (a desynced
+// re-execution, a missing trace file) move down the ladder; criterion
+// errors are terminal — every backend would reject the same address the
+// same way, because answers never differ. Every rung tried leaves its
+// own records, so the failed rungs feed the planner's per-backend error
+// counts.
 //
 // The query's causal trace records the walk as it happens: a "plan"
 // span carrying the decision (chosen backend, reason, per-backend cost
@@ -111,58 +114,54 @@ var errNoBackend = errors.New("slicer: no backend available for this query")
 // "acquire" child covering backend acquisition (which is where deferred
 // graphs get built) — ending with the error class that demoted it, or
 // cleanly for the rung that answered.
-func (e *QueryEngine) dispatch(qt *qtrace.Trace, shape plan.Shape, run func(*Slicer) error) error {
-	d := e.rec.PlanFor(shape)
-	if qt != nil {
-		psp := qt.Root().Child("plan").Str("backend", d.Backend).Str("reason", d.Reason)
-		for _, name := range plannedCostOrder(d.CostMs) {
-			psp.Str("cost/"+name, fmt.Sprintf("%.3fms", d.CostMs[name]))
-		}
-		psp.End()
-		qt.SetPlan(d.Backend)
+func (e *QueryEngine) run(q *query, kind string, addrs []int64) ([]*Slice, *Explanation, string, error) {
+	if e.s != nil {
+		outs, ex, err := e.exec(q, e.s, kind, addrs)
+		return outs, ex, e.s.name, err
 	}
+	d := e.rec.PlanFor(plan.Shape{Kind: kind, Batch: len(addrs)})
+	q.planned(d)
 	if d.Backend == "" {
-		qt.SetError(querylog.Classify(errNoBackend))
-		return errNoBackend
+		return nil, nil, "", errNoBackend
 	}
 	ladder := d.Ladder()
 	var lastErr error
 	for i, name := range ladder {
-		asp := qt.Root().Child("attempt/" + name)
+		asp := q.root().Child("attempt/" + name)
 		acq := asp.Child("acquire")
 		s := e.rec.backendSlicer(name)
+		acq.End()
 		if s == nil {
-			acq.End()
 			asp.EndErr("unavailable")
 			continue
 		}
-		acq.End()
-		// Each attempt gets a fresh *Slicer stamped with the plan (and
-		// the trace), so concurrent dispatches never share mutable
-		// attribution state.
-		s.plan = d.Backend
-		if i == 0 {
-			s.planReason = d.Reason
-		} else {
-			s.planReason = fmt.Sprintf("fallback from %s: %v", ladder[i-1], lastErr)
+		reason := d.Reason
+		if i > 0 {
+			reason = fmt.Sprintf("fallback from %s: %v", ladder[i-1], lastErr)
 		}
-		s.qt, s.qspan = qt, asp
-		err := run(s)
+		q.rung(reason, asp)
+		outs, ex, err := e.exec(q, s, kind, addrs)
 		if err == nil {
 			asp.End()
-			qt.SetBackend(s.name)
-			return nil
+			return outs, ex, s.name, nil
 		}
 		class := querylog.Classify(err)
 		asp.EndErr(class)
 		if class == "bad_criterion" {
-			qt.SetError(class)
-			return err
+			return nil, nil, "", err
 		}
 		lastErr = err
 	}
-	qt.SetError(querylog.Classify(lastErr))
-	return lastErr
+	return nil, nil, "", lastErr
+}
+
+// exec runs one backend call for q, first sizing a batch's worker pool
+// to the engine's.
+func (e *QueryEngine) exec(q *query, s *Slicer, kind string, addrs []int64) ([]*Slice, *Explanation, error) {
+	if sw, ok := s.impl.(interface{ SetWorkers(int) }); ok && kind == querylog.KindBatch {
+		sw.SetWorkers(e.workers)
+	}
+	return s.exec(q, kind, addrs)
 }
 
 // plannedCostOrder returns the cost map's backends in a stable order so
@@ -223,72 +222,29 @@ func (e *QueryEngine) tally(hits, misses int64) {
 	}
 }
 
-// logHit audits one cache-served query: the flight recorder gets a
-// fresh query ID with CacheHit set, while the slice keeps the ID of the
-// query that originally computed it.
-func (e *QueryEngine) logHit(addr int64, sl *Slice, backend, kind string, batch int, start time.Time, tid qtrace.TraceID) {
-	rec := e.rec
-	if !rec.queryObserved() {
-		return
-	}
-	rec.logQuery(querylog.Record{
-		ID: rec.qlog.NextID(), Start: start, Backend: backend, Kind: kind,
-		Addr: addr, Batch: batch, Latency: time.Since(start), CacheHit: true,
-		Stmts: sl.Stmts, Lines: len(sl.Lines), TraceID: tid,
-	})
-}
-
 // SliceAddr answers one address criterion, consulting the cache first.
+// A hit is audited under a fresh query ID with CacheHit set, while the
+// slice keeps the IDs of the query that originally computed it.
 func (e *QueryEngine) SliceAddr(addr int64) (*Slice, error) {
-	var start time.Time
-	if e.rec.queryObserved() {
-		start = time.Now()
-	}
-	qt := e.rec.qtr.StartQuery(querylog.KindSlice, addr, 0)
+	var qv query
+	addrs := []int64{addr}
+	q := e.rec.newQuery(&qv, querylog.KindSlice, addrs)
 	if sl, backend, ok := e.lookup(addr); ok {
 		e.tally(1, 0)
-		qt.SetCacheHit()
-		qt.SetBackend(backend)
-		e.logHit(addr, sl, backend, querylog.KindSlice, 0, start, qt.ID())
-		e.rec.finishTrace(qt)
+		q.hit(addr, sl, backend)
+		q.cached(true)
+		q.finish(backend, nil)
 		return sl, nil
 	}
 	e.tally(0, 1)
-	qt.SetCacheMiss()
-	var sl *Slice
-	var backend string
-	var err error
-	if e.s != nil {
-		backend = e.s.name
-		sl, err = e.s.withTrace(qt, qt.Root()).SliceAddr(addr)
-		e.noteFixed(qt, backend, err)
-	} else {
-		err = e.dispatch(qt, plan.Shape{Kind: plan.KindSlice, Batch: 1}, func(s *Slicer) error {
-			var rerr error
-			sl, rerr = s.SliceAddr(addr)
-			backend = s.name
-			return rerr
-		})
-	}
-	e.rec.finishTrace(qt)
+	q.cached(false)
+	outs, _, backend, err := e.run(q, querylog.KindSlice, addrs)
+	q.finish(backend, err)
 	if err != nil {
 		return nil, err
 	}
-	e.insert(addr, sl, backend)
-	return sl, nil
-}
-
-// noteFixed stamps a fixed-backend query's outcome on its trace
-// (dispatch does this for planned queries).
-func (e *QueryEngine) noteFixed(qt *qtrace.Trace, backend string, err error) {
-	if qt == nil {
-		return
-	}
-	if err != nil {
-		qt.SetError(querylog.Classify(err))
-		return
-	}
-	qt.SetBackend(backend)
+	e.insert(addr, outs[0], backend)
+	return outs[0], nil
 }
 
 // SliceVar is SliceAddr on a global scalar variable.
@@ -308,23 +264,11 @@ func (e *QueryEngine) SliceVar(name string) (*Slice, error) {
 // explain shape (forward slicing is never a candidate: it cannot
 // attribute edges).
 func (e *QueryEngine) Explain(addr int64) (*Explanation, error) {
-	qt := e.rec.qtr.StartQuery(querylog.KindExplain, addr, 0)
-	var ex *Explanation
-	var backend string
-	var err error
-	if e.s != nil {
-		backend = e.s.name
-		ex, err = e.s.withTrace(qt, qt.Root()).ExplainAddr(addr)
-		e.noteFixed(qt, backend, err)
-	} else {
-		err = e.dispatch(qt, plan.Shape{Kind: plan.KindExplain, Batch: 1}, func(s *Slicer) error {
-			var rerr error
-			ex, rerr = s.ExplainAddr(addr)
-			backend = s.name
-			return rerr
-		})
-	}
-	e.rec.finishTrace(qt)
+	var qv query
+	addrs := []int64{addr}
+	q := e.rec.newQuery(&qv, querylog.KindExplain, addrs)
+	_, ex, backend, err := e.run(q, querylog.KindExplain, addrs)
+	q.finish(backend, err)
 	if err != nil {
 		return nil, err
 	}
@@ -353,11 +297,8 @@ func (e *QueryEngine) SliceAddrs(addrs []int64) ([]*Slice, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	var start time.Time
-	if e.rec.queryObserved() {
-		start = time.Now()
-	}
-	qt := e.rec.qtr.StartQuery(querylog.KindBatch, addrs[0], len(addrs))
+	var qv query
+	q := e.rec.newQuery(&qv, querylog.KindBatch, addrs)
 	outs := make([]*Slice, len(addrs))
 	var missSet = make(map[int64][]int) // addr -> positions in addrs
 	var hits int64
@@ -365,19 +306,18 @@ func (e *QueryEngine) SliceAddrs(addrs []int64) ([]*Slice, error) {
 		if sl, backend, ok := e.lookup(a); ok {
 			outs[i] = sl
 			hits++
-			e.logHit(a, sl, backend, querylog.KindBatch, len(addrs), start, qt.ID())
+			q.hit(a, sl, backend)
 			continue
 		}
 		missSet[a] = append(missSet[a], i)
 	}
 	e.tally(hits, int64(len(missSet)))
+	q.cached(len(missSet) == 0)
 	if len(missSet) == 0 {
 		// The whole batch came from the cache.
-		qt.SetCacheHit()
-		e.rec.finishTrace(qt)
+		q.finish("", nil)
 		return outs, nil
 	}
-	qt.SetCacheMiss()
 	miss := make([]int64, 0, len(missSet))
 	for a := range missSet {
 		miss = append(miss, a)
@@ -386,28 +326,8 @@ func (e *QueryEngine) SliceAddrs(addrs []int64) ([]*Slice, error) {
 	// criteria share a 64-bit mask chunk.
 	sort.Slice(miss, func(i, j int) bool { return miss[i] < miss[j] })
 
-	var slices []*Slice
-	var backend string
-	var err error
-	if e.s != nil {
-		backend = e.s.name
-		if sw, ok := e.s.impl.(interface{ SetWorkers(int) }); ok {
-			sw.SetWorkers(e.workers)
-		}
-		slices, err = e.s.withTrace(qt, qt.Root()).SliceAddrs(miss)
-		e.noteFixed(qt, backend, err)
-	} else {
-		err = e.dispatch(qt, plan.Shape{Kind: plan.KindBatch, Batch: len(miss)}, func(s *Slicer) error {
-			if sw, ok := s.impl.(interface{ SetWorkers(int) }); ok {
-				sw.SetWorkers(e.workers)
-			}
-			var rerr error
-			slices, rerr = s.SliceAddrs(miss)
-			backend = s.name
-			return rerr
-		})
-	}
-	e.rec.finishTrace(qt)
+	slices, _, backend, err := e.run(q, querylog.KindBatch, miss)
+	q.finish(backend, err)
 	if err != nil {
 		return nil, err
 	}

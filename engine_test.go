@@ -258,41 +258,3 @@ func TestEngineExplainConcurrent(t *testing.T) {
 		t.Error("slice produced by Explain was not cached")
 	}
 }
-
-// TestSequentialBuildMatchesPipelined: Record's default pipelined build
-// must produce the same graphs as the SequentialBuild opt-out.
-func TestSequentialBuildMatchesPipelined(t *testing.T) {
-	p, err := slicer.Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe, err := p.Record(slicer.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	seq, err := p.Record(slicer.RunOptions{SequentialBuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
-	addrs := engineAddrs(t, pipe)
-	for _, mk := range []func(*slicer.Recording) *slicer.Slicer{
-		(*slicer.Recording).FP, (*slicer.Recording).OPT,
-	} {
-		a, b := mk(pipe), mk(seq)
-		for _, addr := range addrs {
-			x, err := a.SliceAddr(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			y, err := b.SliceAddr(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !x.Raw().Equal(y.Raw()) {
-				t.Errorf("%s addr %d: pipelined build != sequential build", a.Name(), addr)
-			}
-		}
-	}
-}

@@ -12,10 +12,8 @@ package slicer
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"dynslice/internal/ir"
-	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/explain"
 	"dynslice/internal/telemetry/querylog"
 )
@@ -36,98 +34,11 @@ type Explanation struct {
 // Explanation additionally carries the traversal profile and witnesses.
 // Fails for algorithms that do not implement slicing.Explainer.
 func (s *Slicer) ExplainAddr(addr int64) (*Explanation, error) {
-	ex, ok := s.impl.(slicing.Explainer)
-	if !ok {
-		return nil, fmt.Errorf("slicer: %s does not support observed queries", s.name)
-	}
-	var id uint64
-	obs := s.rec.queryObserved()
-	if obs {
-		id = s.rec.qlog.NextID()
-	}
-	qt, parent, owned := s.queryTrace(querylog.KindExplain, addr, 0)
-	esp := parent.Child("exec/" + s.name)
-	rec := explain.NewRecorder()
-	t0 := time.Now()
-	raw, stats, err := ex.SliceObserved(slicing.AddrCriterion(addr), rec)
-	elapsed := time.Since(t0)
-	if err != nil {
-		class := querylog.Classify(err)
-		esp.EndErr(class)
-		if obs {
-			s.logQuery(querylog.Record{
-				ID: id, Start: t0, Backend: s.name, Kind: querylog.KindExplain,
-				Addr: addr, Latency: elapsed, Err: class, TraceID: qt.ID(),
-			})
-		}
-		if owned {
-			qt.SetError(class)
-			s.rec.finishTrace(qt)
-		}
+	if _, err := s.explainer(); err != nil {
 		return nil, err
 	}
-	if reg := s.rec.tel; reg != nil {
-		reg.ObserveSpan("explain/"+s.name, elapsed)
-		reg.Counter("slice.queries").Inc()
-		reg.Counter("slice.explained").Inc()
-		reg.Histogram("slice.size").Observe(int64(raw.Len()))
-		if stats != nil {
-			reg.Counter("slice.instances").Add(stats.Instances)
-			reg.Counter("slice.label_probes").Add(stats.LabelProbes)
-		}
-	}
-	prof := rec.Profile()
-	prof.Elapsed = elapsed
-	prof.SliceStmts = raw.Len()
-	if stats != nil {
-		prof.LabelProbes = stats.LabelProbes
-		prof.SegScans = stats.SegScans
-		prof.SegSkips = stats.SegSkips
-	}
-	if qt != nil {
-		esp.Int("stmts", int64(raw.Len())).
-			Int("nodes_visited", prof.NodesVisited).
-			Int("label_probes", prof.LabelProbes).
-			Int("edges_explicit", prof.Explicit).
-			Int("edges_inferred", prof.Inferred).
-			Int("edges_shortcut", prof.Shortcut)
-		if stats != nil && (stats.SegScans != 0 || stats.SegSkips != 0) {
-			esp.Int("seg_scans", stats.SegScans).
-				Int("seg_skips", stats.SegSkips).
-				Int("seg_bytes", stats.SegBytes)
-		}
-	}
-	esp.End()
-	qt.SetQueryID(id)
-	sl := &Slice{
-		Lines:   raw.Lines(s.rec.p.ir),
-		Stmts:   raw.Len(),
-		Time:    elapsed,
-		QueryID: id,
-		TraceID: qt.ID(),
-		raw:     raw,
-	}
-	if obs {
-		// The observed query's audit record folds in the traversal
-		// profile's edge attribution (explicit vs inferred vs shortcut).
-		s.logQuery(querylog.Record{
-			ID: id, Start: t0, Backend: s.name, Kind: querylog.KindExplain,
-			Addr: addr, Latency: elapsed, Stmts: sl.Stmts, Lines: len(sl.Lines),
-			Instances: prof.NodesVisited, LabelProbes: prof.LabelProbes,
-			Explicit: prof.Explicit, Inferred: prof.Inferred, Shortcut: prof.Shortcut,
-			TraceID: qt.ID(),
-		})
-	}
-	if owned {
-		qt.SetBackend(s.name)
-		s.rec.finishTrace(qt)
-	}
-	return &Explanation{
-		Slice:   sl,
-		Profile: prof,
-		rec:     rec,
-		prog:    s.rec.p.ir,
-	}, nil
+	_, ex, err := s.direct(querylog.KindExplain, []int64{addr})
+	return ex, err
 }
 
 // ExplainVar is ExplainAddr on the last definition of a global scalar.

@@ -12,6 +12,7 @@ import (
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/plan"
 	"dynslice/internal/slicing/reexec"
+	"dynslice/internal/telemetry/querylog"
 	"dynslice/internal/telemetry/stats"
 )
 
@@ -223,7 +224,7 @@ func measurePlanner(res *Result) (PlannerBench, error) {
 		}
 		d := plan.Decide(feats, plan.Shape{Kind: plan.KindSlice, Batch: 1}, av, rec.Snapshot())
 		chosen := times[d.Backend]
-		rec.ObserveQuery(d.Backend, chosen, 0, false, false)
+		rec.Observe(querylog.Record{Backend: d.Backend, Latency: chosen}, 0)
 		pb.Chosen[d.Backend]++
 		if best > 0 {
 			perQuery = append(perQuery, float64(chosen)/float64(best))

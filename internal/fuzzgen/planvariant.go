@@ -38,7 +38,7 @@ func (pv *planVariant) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stat
 		}
 		t0 := time.Now()
 		sl, st, err := s.Slice(c)
-		pv.stats.ObserveQuery(name, time.Since(t0), 0, false, err != nil)
+		pv.stats.Observe(querylog.Record{Backend: name, Latency: time.Since(t0), Err: querylog.Classify(err)}, 0)
 		if err == nil {
 			return sl, st, nil
 		}

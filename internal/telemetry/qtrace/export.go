@@ -54,16 +54,16 @@ func (t *Trace) Export() Export {
 	defer t.mu.Unlock()
 	e := Export{
 		TraceID: t.id,
-		QueryID: t.queryID,
+		QueryID: t.out.QueryID,
 		Kind:    t.kind,
 		Addr:    t.addr,
 		Batch:   t.batch,
 		Start:   t.start,
 		DurUS:   us(t.dur),
-		Backend: t.backend,
-		Plan:    t.plan,
-		Err:     t.errClass,
-		Hit:     t.cacheHit,
+		Backend: t.out.Backend,
+		Plan:    t.out.Plan,
+		Err:     t.out.Err,
+		Hit:     t.out.CacheHit,
 		Reason:  t.reason,
 		Spans:   make([]SpanExport, 0, len(t.spans)),
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // lockedWriter makes a bytes.Buffer safe to share between the tracer's
@@ -37,24 +38,24 @@ func TestHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				qt := tr.StartQuery("slice", int64(i), 0)
+				qt := tr.StartQuery("slice", int64(i), 0, time.Now())
 				sp := qt.Root().Child("plan").Str("backend", "OPT")
 				sp.End()
 				att := qt.Root().Child("attempt/OPT")
 				att.Child("exec/OPT").Int("stmts", int64(i)).End()
+				var out Outcome
 				switch i % 3 {
 				case 0:
 					att.EndErr("internal")
-					qt.SetError("internal")
+					out.Err = "internal"
 				case 1:
-					qt.SetPlan("reexec")
-					qt.SetBackend("LP")
+					out.Plan, out.Backend = "reexec", "LP"
 					att.End()
 				default:
-					qt.SetBackend("OPT")
+					out.Backend = "OPT"
 					att.End()
 				}
-				tr.Finish(qt)
+				tr.Finish(qt, out)
 			}
 		}(w)
 	}

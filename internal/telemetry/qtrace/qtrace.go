@@ -25,7 +25,6 @@
 package qtrace
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -111,30 +110,35 @@ const (
 	ReasonSample      = "sample"
 )
 
+// Outcome is how a query ended. The query hands it to Finish once,
+// which keeps it with the trace and applies the retention policy to it.
+type Outcome struct {
+	QueryID   uint64 // ID of the query's first flight-recorder record
+	Backend   string // backend that answered ("" when none did)
+	Plan      string // backend the planner chose ("" for direct dispatch)
+	Err       string // terminal error class (querylog.Classify), "" on success
+	CacheHit  bool   // answered from the engine LRU
+	CacheMiss bool   // an engine LRU or snapshot-cache miss
+}
+
 // Trace is one query's span tree plus its outcome. Span capture is safe
 // for concurrent use (fallback rungs never overlap, but batched
-// backends may annotate from worker goroutines); outcome setters and
-// accessors are safe on a nil *Trace.
+// backends may annotate from worker goroutines); every method is safe
+// on a nil *Trace.
 type Trace struct {
-	tracer *Tracer
-	id     TraceID
-	kind   string
-	addr   int64
-	batch  int
-	start  time.Time
+	id    TraceID
+	kind  string
+	addr  int64
+	batch int
+	start time.Time
 
-	mu        sync.Mutex
-	spans     []span
-	queryID   uint64
-	backend   string
-	plan      string
-	errClass  string
-	cacheHit  bool
-	cacheMiss bool
-	dur       time.Duration
-	finished  bool
-	retained  bool
-	reason    string
+	mu       sync.Mutex
+	spans    []span
+	root     [1]span // backs spans until a child is added
+	out      Outcome
+	dur      time.Duration
+	finished bool
+	reason   string
 }
 
 // ID returns the trace ID (0 on nil).
@@ -145,44 +149,6 @@ func (t *Trace) ID() TraceID {
 	return t.id
 }
 
-// Kind returns the query kind the trace was started with.
-func (t *Trace) Kind() string {
-	if t == nil {
-		return ""
-	}
-	return t.kind
-}
-
-// Backend returns the backend that answered ("" until SetBackend).
-func (t *Trace) Backend() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.backend
-}
-
-// Duration returns the trace's wall time (0 until Finish).
-func (t *Trace) Duration() time.Duration {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dur
-}
-
-// Retained reports whether Finish admitted the trace to the ring.
-func (t *Trace) Retained() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.retained
-}
-
 // Reason returns why the trace was retained ("" when dropped).
 func (t *Trace) Reason() string {
 	if t == nil {
@@ -191,69 +157,6 @@ func (t *Trace) Reason() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.reason
-}
-
-// SetQueryID links the trace to its flight-recorder record.
-func (t *Trace) SetQueryID(id uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.queryID = id
-	t.mu.Unlock()
-}
-
-// SetBackend records the backend that answered the query.
-func (t *Trace) SetBackend(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.backend = name
-	t.mu.Unlock()
-}
-
-// SetPlan records the backend the planner originally chose. When Finish
-// sees plan != backend the trace is a demotion and retained under
-// Policy.OnPlanDiverge.
-func (t *Trace) SetPlan(backend string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.plan = backend
-	t.mu.Unlock()
-}
-
-// SetError records the query's terminal error class (querylog.Classify).
-func (t *Trace) SetError(class string) {
-	if t == nil || class == "" {
-		return
-	}
-	t.mu.Lock()
-	t.errClass = class
-	t.mu.Unlock()
-}
-
-// SetCacheHit marks the query as answered from the engine LRU.
-func (t *Trace) SetCacheHit() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cacheHit = true
-	t.mu.Unlock()
-}
-
-// SetCacheMiss marks the query as an engine LRU (or snapshot cache)
-// miss — a retention trigger under Policy.OnCacheMiss.
-func (t *Trace) SetCacheMiss() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cacheMiss = true
-	t.mu.Unlock()
 }
 
 // Root returns a handle on the root span (zero SpanRef on nil).
@@ -464,39 +367,42 @@ func (tr *Tracer) SinkErr() error {
 	return tr.sinkErr
 }
 
-// StartQuery mints a trace for one query and opens its root span
-// ("query/<kind>"). A nil tracer returns a nil trace, which every
-// downstream call accepts.
-func (tr *Tracer) StartQuery(kind string, addr int64, batch int) *Trace {
+// StartQuery mints a trace for one query that began at start and opens
+// its root span ("query/<kind>") there. A nil tracer returns a nil
+// trace, which every downstream call accepts.
+func (tr *Tracer) StartQuery(kind string, addr int64, batch int, start time.Time) *Trace {
 	if tr == nil {
 		return nil
 	}
 	tr.started.Add(1)
 	t := &Trace{
-		tracer: tr,
-		id:     TraceID(tr.nextID.Add(1)),
-		kind:   kind,
-		addr:   addr,
-		batch:  batch,
-		start:  time.Now(),
+		id:    TraceID(tr.nextID.Add(1)),
+		kind:  kind,
+		addr:  addr,
+		batch: batch,
+		start: start,
 	}
-	t.newSpan(0, "query/"+kind)
+	t.root[0] = span{id: 1, name: "query/" + kind}
+	t.spans = t.root[:]
 	return t
 }
 
-// Finish closes the trace (ending any still-open spans at the trace's
-// end), decides retention, and — for retained traces — admits it to the
-// ring and the streaming sink. Finishing twice is a no-op.
-func (tr *Tracer) Finish(t *Trace) {
+// Finish closes the trace with its outcome (ending any still-open spans
+// at the trace's end), decides retention, and — for retained traces —
+// admits it to the ring and the streaming sink. It reports whether the
+// trace was retained. Finishing twice keeps the first outcome.
+func (tr *Tracer) Finish(t *Trace, o Outcome) bool {
 	if tr == nil || t == nil {
-		return
+		return false
 	}
 	t.mu.Lock()
 	if t.finished {
+		retained := t.reason != ""
 		t.mu.Unlock()
-		return
+		return retained
 	}
 	t.finished = true
+	t.out = o
 	t.dur = time.Since(t.start)
 	for i := range t.spans {
 		if !t.spans[i].ended {
@@ -505,14 +411,13 @@ func (tr *Tracer) Finish(t *Trace) {
 		}
 	}
 	t.reason = tr.retainReason(t)
-	t.retained = t.reason != ""
-	retained := t.retained
+	reason := t.reason
 	t.mu.Unlock()
-	if !retained {
-		return
+	if reason == "" {
+		return false
 	}
 	tr.retainedN.Add(1)
-	switch t.reason {
+	switch reason {
 	case ReasonError:
 		tr.byError.Add(1)
 	case ReasonSlow:
@@ -542,19 +447,20 @@ func (tr *Tracer) Finish(t *Trace) {
 		}
 	}
 	tr.mu.Unlock()
+	return true
 }
 
 // retainReason applies the policy; called with t.mu held.
 func (tr *Tracer) retainReason(t *Trace) string {
-	pol := tr.pol
+	pol, o := tr.pol, t.out
 	switch {
-	case pol.OnError && t.errClass != "":
+	case pol.OnError && o.Err != "":
 		return ReasonError
 	case pol.Slow > 0 && t.dur >= pol.Slow:
 		return ReasonSlow
-	case pol.OnPlanDiverge && t.plan != "" && t.backend != "" && t.plan != t.backend:
+	case pol.OnPlanDiverge && o.Plan != "" && o.Backend != "" && o.Plan != o.Backend:
 		return ReasonPlanDiverge
-	case pol.OnCacheMiss && t.cacheMiss:
+	case pol.OnCacheMiss && o.CacheMiss:
 		return ReasonCacheMiss
 	case Sampled(pol.Seed, t.id, pol.SampleN):
 		return ReasonSample
@@ -637,23 +543,4 @@ func (tr *Tracer) Get(id TraceID) *Trace {
 		}
 	}
 	return nil
-}
-
-// ctxKey carries a *Trace through a context.Context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying the trace — the propagation seam for
-// servers (the ROADMAP's slicing daemon) whose request handlers cross
-// API boundaries the stamped-slicer threading cannot reach.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	if t == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext extracts the trace carried by ctx (nil when absent).
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(ctxKey{}).(*Trace)
-	return t
 }

@@ -2,7 +2,6 @@ package qtrace
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"strings"
@@ -14,23 +13,23 @@ import (
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	qt := tr.StartQuery("slice", 1, 0)
+	qt := tr.StartQuery("slice", 1, 0, time.Now())
 	if qt != nil {
 		t.Fatalf("nil tracer minted a trace")
 	}
-	if qt.ID() != 0 || qt.Backend() != "" || qt.Retained() || qt.Reason() != "" {
+	if qt.ID() != 0 || qt.Reason() != "" {
 		t.Fatalf("nil trace accessors not zero")
 	}
-	qt.SetBackend("FP")
-	qt.SetPlan("OPT")
-	qt.SetError("internal")
-	qt.SetCacheHit()
-	qt.SetCacheMiss()
-	qt.SetQueryID(7)
 	sp := qt.Root().Child("plan").Int("x", 1).Str("y", "z")
 	sp.End()
 	sp.EndErr("internal")
-	tr.Finish(qt)
+	out := Outcome{QueryID: 7, Backend: "FP", Plan: "OPT", Err: "internal", CacheHit: true, CacheMiss: true}
+	if tr.Finish(qt, out) {
+		t.Fatalf("nil tracer retained a trace")
+	}
+	if New(4, Policy{OnError: true}).Finish(nil, out) {
+		t.Fatalf("nil trace retained")
+	}
 	if got := tr.Recent(0); got != nil {
 		t.Fatalf("nil tracer Recent = %v", got)
 	}
@@ -73,7 +72,8 @@ func TestTraceIDRoundTrip(t *testing.T) {
 
 func TestSpanTreeCapture(t *testing.T) {
 	tr := New(4, Policy{OnError: true})
-	qt := tr.StartQuery("slice", 42, 0)
+	start := time.Now()
+	qt := tr.StartQuery("slice", 42, 0, start)
 	if qt.ID() == 0 {
 		t.Fatalf("no trace ID minted")
 	}
@@ -85,15 +85,15 @@ func TestSpanTreeCapture(t *testing.T) {
 	att2 := qt.Root().Child("attempt/LP")
 	att2.Child("exec/LP").Int("seg_scans", 3).End()
 	att2.End()
-	qt.SetPlan("reexec")
-	qt.SetBackend("LP")
-	qt.SetError("internal")
-	tr.Finish(qt)
+	retained := tr.Finish(qt, Outcome{QueryID: 9, Plan: "reexec", Backend: "LP", Err: "internal"})
 
-	if !qt.Retained() || qt.Reason() != ReasonError {
-		t.Fatalf("retained=%v reason=%q, want error retention", qt.Retained(), qt.Reason())
+	if !retained || qt.Reason() != ReasonError {
+		t.Fatalf("retained=%v reason=%q, want error retention", retained, qt.Reason())
 	}
 	e := qt.Export()
+	if !e.Start.Equal(start) {
+		t.Fatalf("trace start %v, want the query's start %v", e.Start, start)
+	}
 	if len(e.Spans) != 6 {
 		t.Fatalf("got %d spans, want 6: %+v", len(e.Spans), e.Spans)
 	}
@@ -113,50 +113,52 @@ func TestSpanTreeCapture(t *testing.T) {
 	if got := byName["exec/LP"].Attrs["seg_scans"]; got != float64(3) && got != int64(3) {
 		t.Fatalf("exec/LP seg_scans = %v", got)
 	}
-	if e.Plan != "reexec" || e.Backend != "LP" || e.Err != "internal" {
+	if e.QueryID != 9 || e.Plan != "reexec" || e.Backend != "LP" || e.Err != "internal" || e.Hit {
 		t.Fatalf("outcome: %+v", e)
 	}
-	// Finishing twice keeps one ring entry.
-	tr.Finish(qt)
+	// Finishing twice keeps one ring entry and the first outcome.
+	if !tr.Finish(qt, Outcome{Backend: "OPT"}) {
+		t.Fatalf("second Finish forgot the retention")
+	}
 	if got := len(tr.Recent(0)); got != 1 {
 		t.Fatalf("double Finish retained %d traces", got)
+	}
+	if e := qt.Export(); e.Backend != "LP" || e.Err != "internal" {
+		t.Fatalf("second Finish replaced the outcome: %+v", e)
 	}
 }
 
 func TestRetentionPolicy(t *testing.T) {
-	finish := func(pol Policy, mut func(*Trace)) *Trace {
+	finish := func(pol Policy, o Outcome) (*Trace, bool) {
 		tr := New(4, pol)
-		qt := tr.StartQuery("slice", 1, 0)
-		mut(qt)
-		tr.Finish(qt)
-		return qt
+		qt := tr.StartQuery("slice", 1, 0, time.Now())
+		return qt, tr.Finish(qt, o)
 	}
-	qt := finish(Policy{}, func(t *Trace) { t.SetError("internal"); t.SetCacheMiss() })
-	if qt.Retained() {
+	qt, retained := finish(Policy{}, Outcome{Err: "internal", CacheMiss: true})
+	if retained {
 		t.Fatalf("zero policy retained a trace (reason %q)", qt.Reason())
 	}
-	qt = finish(Policy{OnError: true}, func(t *Trace) { t.SetError("bad_criterion") })
+	qt, _ = finish(Policy{OnError: true}, Outcome{Err: "bad_criterion"})
 	if qt.Reason() != ReasonError {
 		t.Fatalf("reason = %q, want error", qt.Reason())
 	}
-	qt = finish(Policy{Slow: time.Nanosecond}, func(t *Trace) {})
+	qt, _ = finish(Policy{Slow: time.Nanosecond}, Outcome{})
 	if qt.Reason() != ReasonSlow {
 		t.Fatalf("reason = %q, want slow", qt.Reason())
 	}
-	qt = finish(Policy{OnPlanDiverge: true}, func(t *Trace) { t.SetPlan("reexec"); t.SetBackend("LP") })
+	qt, _ = finish(Policy{OnPlanDiverge: true}, Outcome{Plan: "reexec", Backend: "LP"})
 	if qt.Reason() != ReasonPlanDiverge {
 		t.Fatalf("reason = %q, want plan_divergence", qt.Reason())
 	}
-	qt = finish(Policy{OnPlanDiverge: true}, func(t *Trace) { t.SetPlan("LP"); t.SetBackend("LP") })
-	if qt.Retained() {
+	if _, retained = finish(Policy{OnPlanDiverge: true}, Outcome{Plan: "LP", Backend: "LP"}); retained {
 		t.Fatalf("plan==backend retained as divergence")
 	}
-	qt = finish(Policy{OnCacheMiss: true}, func(t *Trace) { t.SetCacheMiss() })
+	qt, _ = finish(Policy{OnCacheMiss: true}, Outcome{CacheMiss: true})
 	if qt.Reason() != ReasonCacheMiss {
 		t.Fatalf("reason = %q, want cache_miss", qt.Reason())
 	}
 	// Priority: an errored slow trace counts once, under error.
-	qt = finish(Policy{OnError: true, Slow: time.Nanosecond}, func(t *Trace) { t.SetError("internal") })
+	qt, _ = finish(Policy{OnError: true, Slow: time.Nanosecond}, Outcome{Err: "internal"})
 	if qt.Reason() != ReasonError {
 		t.Fatalf("reason = %q, want error to win priority", qt.Reason())
 	}
@@ -172,9 +174,8 @@ func TestSamplerDeterminism(t *testing.T) {
 		tr := New(stream, Policy{SampleN: n, Seed: seed})
 		var got []TraceID
 		for i := 0; i < stream; i++ {
-			qt := tr.StartQuery("slice", int64(i), 0)
-			tr.Finish(qt)
-			if qt.Retained() {
+			qt := tr.StartQuery("slice", int64(i), 0, time.Now())
+			if tr.Finish(qt, Outcome{}) {
 				if qt.Reason() != ReasonSample {
 					t.Fatalf("reason = %q, want sample", qt.Reason())
 				}
@@ -218,8 +219,8 @@ func TestRingEvictionAndGet(t *testing.T) {
 	tr := New(4, Policy{SampleN: 1})
 	var ids []TraceID
 	for i := 0; i < 10; i++ {
-		qt := tr.StartQuery("slice", int64(i), 0)
-		tr.Finish(qt)
+		qt := tr.StartQuery("slice", int64(i), 0, time.Now())
+		tr.Finish(qt, Outcome{})
 		ids = append(ids, qt.ID())
 	}
 	st := tr.Stats()
@@ -249,10 +250,9 @@ func TestJSONLAndSink(t *testing.T) {
 	tr := New(8, Policy{SampleN: 1})
 	tr.SetSink(&sink)
 	for i := 0; i < 3; i++ {
-		qt := tr.StartQuery("batch", int64(i), 5)
+		qt := tr.StartQuery("batch", int64(i), 5, time.Now())
 		qt.Root().Child("exec/FP").End()
-		qt.SetBackend("FP")
-		tr.Finish(qt)
+		tr.Finish(qt, Outcome{Backend: "FP"})
 	}
 	if err := tr.SinkErr(); err != nil {
 		t.Fatalf("sink err: %v", err)
@@ -275,9 +275,9 @@ func TestJSONLAndSink(t *testing.T) {
 
 func TestTimelineExport(t *testing.T) {
 	tr := New(8, Policy{SampleN: 1})
-	qt := tr.StartQuery("slice", 1, 0)
+	qt := tr.StartQuery("slice", 1, 0, time.Now())
 	qt.Root().Child("exec/OPT").Int("stmts", 9).End()
-	tr.Finish(qt)
+	tr.Finish(qt, Outcome{})
 	tl := telemetry.NewTimeline()
 	tr.WriteTimeline(tl)
 	evs := tl.Events()
@@ -300,10 +300,9 @@ func TestTimelineExport(t *testing.T) {
 
 func TestServeHTTP(t *testing.T) {
 	tr := New(8, Policy{SampleN: 1})
-	qt := tr.StartQuery("slice", 42, 0)
+	qt := tr.StartQuery("slice", 42, 0, time.Now())
 	qt.Root().Child("plan").End()
-	qt.SetBackend("OPT")
-	tr.Finish(qt)
+	tr.Finish(qt, Outcome{Backend: "OPT"})
 
 	rr := httptest.NewRecorder()
 	tr.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/qtrace", nil))
@@ -343,20 +342,5 @@ func TestServeHTTP(t *testing.T) {
 	none.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/qtrace", nil))
 	if rr.Code != 404 {
 		t.Fatalf("nil tracer -> %d, want 404", rr.Code)
-	}
-}
-
-func TestContextPropagation(t *testing.T) {
-	tr := New(4, Policy{})
-	qt := tr.StartQuery("slice", 1, 0)
-	ctx := NewContext(context.Background(), qt)
-	if got := FromContext(ctx); got != qt {
-		t.Fatalf("FromContext = %v, want %v", got, qt)
-	}
-	if got := FromContext(context.Background()); got != nil {
-		t.Fatalf("empty context yielded %v", got)
-	}
-	if ctx2 := NewContext(context.Background(), nil); FromContext(ctx2) != nil {
-		t.Fatalf("nil trace stored in context")
 	}
 }

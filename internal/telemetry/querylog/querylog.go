@@ -2,10 +2,11 @@
 // race-free ring buffer of per-query audit records for the slicing
 // engine. Every query answered through the root façade or the
 // QueryEngine — single, batched, cached, or observed (explain) —
-// appends one Record carrying a monotonic query ID, the criterion, the
-// backend that answered it, wall latency, cache attribution, result
-// size, and (for observed queries) the traversal's explicit-vs-inferred
-// edge attribution folded in from the explain Recorder.
+// appends one Record per criterion for each backend attempt or cache
+// hit, carrying a monotonic query ID, the criterion, the backend that
+// answered it, wall latency, cache attribution, result size, and (for
+// observed queries) the traversal's explicit-vs-inferred edge
+// attribution folded in from the explain Recorder.
 //
 // The ring retains the most recent Capacity records for the
 // /debug/queries endpoint and post-hoc JSONL export; an optional
@@ -49,7 +50,8 @@ type Record struct {
 	// ID is the monotonic per-recording query ID (1-based; 0 means no
 	// query log was attached when the ID was minted).
 	ID uint64 `json:"id"`
-	// Start is the wall-clock time the query began.
+	// Start is the time the façade or engine call began: the call's one
+	// start clock read, shared by all its records and its trace.
 	Start time.Time `json:"start"`
 	// Backend is the algorithm that answered: "FP", "OPT", "LP",
 	// "reexec", or "forward".
@@ -60,8 +62,9 @@ type Record struct {
 	Addr int64 `json:"addr"`
 	// Batch is the size of the enclosing batch (0 for single queries).
 	Batch int `json:"batch,omitempty"`
-	// Latency is the query's wall time. Criteria of one batched call
-	// share the batch's wall time evenly.
+	// Latency is the wall time of the backend call that computed the
+	// record; criteria of one batched call share it evenly. A cache
+	// hit's latency runs from the call's start to the hit.
 	Latency time.Duration `json:"latency_ns"`
 	// CacheHit marks queries answered from the QueryEngine's LRU cache.
 	CacheHit bool `json:"cache_hit"`

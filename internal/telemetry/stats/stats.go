@@ -11,9 +11,10 @@
 // resolution was inferred, how batchy the query stream is, and how
 // often the cache already answers — a planner can pick the cheapest
 // backend for the next query instead of assuming the paper's static
-// cost model. Until the planner lands, the same numbers feed the
-// Prometheus exposition (`/metrics` on cmd/slicer's -pprof server) and
-// BENCH_queries.json (`cmd/experiments -exp queries`).
+// cost model. The same numbers feed the Prometheus exposition
+// (`/metrics` on cmd/slicer's -pprof server) and BENCH_queries.json
+// (`cmd/experiments -exp queries`). Every number comes from
+// querylog.Record values, one Observe call per record.
 //
 // All methods are safe for concurrent use and on a nil *Recorder
 // (recording disabled), mirroring internal/telemetry.
@@ -26,10 +27,10 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"time"
 
 	"dynslice/internal/telemetry"
 	"dynslice/internal/telemetry/qtrace"
+	"dynslice/internal/telemetry/querylog"
 )
 
 // EWMAAlpha is the smoothing factor of the per-backend latency EWMA:
@@ -89,80 +90,58 @@ func (r *Recorder) backendLocked(name string) *backend {
 	return b
 }
 
-// ObserveQuery folds one answered query into the rolling statistics.
-// batch is the enclosing batch size (0 for single queries); cacheHit
-// marks engine LRU hits; errored queries count toward Errors but not
-// the latency distribution.
-func (r *Recorder) ObserveQuery(backendName string, d time.Duration, batch int, cacheHit, errored bool) {
+// Observe folds one query record into the rolling statistics: its
+// backend's query, error and cache-hit counts, the edge attribution of
+// an explain record, and — for a record without an error — its latency
+// and batch size. exemplar, when non-zero, is the retained trace of the
+// query the record belongs to; it becomes the exemplar of the latency
+// bucket the record lands in, with the record's latency as its value,
+// overwriting any earlier exemplar there. Callers pass only retained
+// traces, so every exposed exemplar resolves at /debug/qtrace.
+func (r *Recorder) Observe(q querylog.Record, exemplar qtrace.TraceID) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b := r.backendLocked(backendName)
+	b := r.backendLocked(q.Backend)
 	b.queries++
-	if cacheHit {
+	if q.CacheHit {
 		b.cacheHit++
 		r.hits++
 	} else {
 		r.misses++
 	}
-	if errored {
+	if q.Kind == querylog.KindExplain {
+		b.observed++
+		b.explicit += q.Explicit
+		b.inferred += q.Inferred
+		b.shortcut += q.Shortcut
+	}
+	if q.Err != "" {
 		b.errors++
 		return
 	}
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
+	d := q.Latency
+	bucket := bits.Len64(uint64(max(d.Microseconds(), 0)))
 	b.latSumNS += d.Nanoseconds()
-	b.lat[bits.Len64(uint64(us))]++
+	b.lat[bucket]++
+	if exemplar != 0 {
+		b.exemplar[bucket] = Exemplar{TraceID: exemplar, Seconds: d.Seconds()}
+	}
 	ms := float64(d.Nanoseconds()) / 1e6
 	if b.queries == 1 {
 		b.ewmaMS = ms
 	} else {
 		b.ewmaMS = EWMAAlpha*ms + (1-EWMAAlpha)*b.ewmaMS
 	}
-	if batch > 1 {
-		r.batch[bits.Len64(uint64(batch))]++
+	if q.Batch > 1 {
+		r.batch[bits.Len64(uint64(q.Batch))]++
 		r.batches++
-		if int64(batch) > r.batchMax {
-			r.batchMax = int64(batch)
+		if int64(q.Batch) > r.batchMax {
+			r.batchMax = int64(q.Batch)
 		}
 	}
-}
-
-// ObserveExemplar records a retained trace as the exemplar of the
-// latency bucket its query landed in, overwriting any earlier exemplar
-// there — "a recent interesting query this slow". Callers only pass
-// retained traces, so every exposed exemplar resolves at /debug/qtrace.
-func (r *Recorder) ObserveExemplar(backendName string, d time.Duration, id qtrace.TraceID) {
-	if r == nil || id == 0 {
-		return
-	}
-	us := d.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	r.mu.Lock()
-	b := r.backendLocked(backendName)
-	b.exemplar[bits.Len64(uint64(us))] = Exemplar{TraceID: id, Seconds: d.Seconds()}
-	r.mu.Unlock()
-}
-
-// ObserveEdges folds one observed query's edge-resolution attribution
-// (explain.Profile) into the backend's totals.
-func (r *Recorder) ObserveEdges(backendName string, explicit, inferred, shortcut int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b := r.backendLocked(backendName)
-	b.observed++
-	b.explicit += explicit
-	b.inferred += inferred
-	b.shortcut += shortcut
 }
 
 // BackendStats is the exported view of one backend's query stream.
@@ -317,12 +296,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 		exemplars := b.LatencyExemplars()
 		var cum int64
 		for i, c := range b.LatencyBucketsUS() {
-			// An exemplar's bucket comes from its trace's wall time, which
-			// includes hops outside the recorded query latency — it can
-			// land in a bucket no latency observation has, so an exemplar
-			// alone keeps the (cumulative, hence still correct) line.
-			ex := exemplars[i]
-			if c == 0 && ex.TraceID == 0 {
+			if c == 0 {
 				continue
 			}
 			cum += c
@@ -331,7 +305,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer, namespace string) error {
 			// OpenMetrics-style exemplar: the bucket carries the trace ID
 			// of a recent retained query this slow, so a latency spike in
 			// /metrics points straight at /debug/qtrace/<id>.
-			if ex.TraceID != 0 {
+			if ex := exemplars[i]; ex.TraceID != 0 {
 				p(" # {trace_id=%q} %g", ex.TraceID.String(), ex.Seconds)
 			}
 			p("\n")

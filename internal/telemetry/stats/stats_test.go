@@ -2,33 +2,50 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dynslice/internal/telemetry/qtrace"
+	"dynslice/internal/telemetry/querylog"
 )
+
+// rec is a successful query record.
+func rec(backend string, d time.Duration) querylog.Record {
+	return querylog.Record{Backend: backend, Kind: querylog.KindSlice, Latency: d}
+}
+
+// explained is a successful explain record carrying edge attribution.
+func explained(backend string, explicit, inferred, shortcut int64) querylog.Record {
+	return querylog.Record{Backend: backend, Kind: querylog.KindExplain,
+		Explicit: explicit, Inferred: inferred, Shortcut: shortcut}
+}
 
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	r.ObserveQuery("OPT", time.Millisecond, 0, false, false)
-	r.ObserveEdges("OPT", 1, 2, 3)
+	r.Observe(rec("OPT", time.Millisecond), 1)
+	r.Observe(explained("OPT", 1, 2, 3), 0)
 	s := r.Snapshot()
 	if s == nil || len(s.Backends) != 0 || s.Queries != 0 {
 		t.Errorf("nil recorder snapshot = %+v", s)
 	}
 }
 
-func TestObserveQueryAggregates(t *testing.T) {
+func TestObserveAggregates(t *testing.T) {
 	r := New()
 	// Four OPT queries: 1ms, 2ms, 3ms, and a 10ms cache hit.
-	r.ObserveQuery("OPT", 1*time.Millisecond, 0, false, false)
-	r.ObserveQuery("OPT", 2*time.Millisecond, 0, false, false)
-	r.ObserveQuery("OPT", 3*time.Millisecond, 0, false, false)
-	r.ObserveQuery("OPT", 10*time.Millisecond, 0, true, false)
+	r.Observe(rec("OPT", 1*time.Millisecond), 0)
+	r.Observe(rec("OPT", 2*time.Millisecond), 0)
+	r.Observe(rec("OPT", 3*time.Millisecond), 0)
+	hit := rec("OPT", 10*time.Millisecond)
+	hit.CacheHit = true
+	r.Observe(hit, 0)
 	// One errored FP query: no latency contribution.
-	r.ObserveQuery("FP", time.Hour, 0, false, true)
+	failed := rec("FP", time.Hour)
+	failed.Err = "internal"
+	r.Observe(failed, 0)
 
 	s := r.Snapshot()
 	opt := s.Backends["OPT"]
@@ -63,11 +80,11 @@ func TestObserveQueryAggregates(t *testing.T) {
 
 func TestEWMASeedAndDecay(t *testing.T) {
 	r := New()
-	r.ObserveQuery("LP", 100*time.Millisecond, 0, false, false)
+	r.Observe(rec("LP", 100*time.Millisecond), 0)
 	if got := r.Snapshot().Backends["LP"].EWMAMs; got != 100 {
 		t.Fatalf("EWMA seed = %v, want 100", got)
 	}
-	r.ObserveQuery("LP", 0, 0, false, false)
+	r.Observe(rec("LP", 0), 0)
 	if got, want := r.Snapshot().Backends["LP"].EWMAMs, (1-EWMAAlpha)*100; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("EWMA after decay = %v, want %v", got, want)
 	}
@@ -75,11 +92,19 @@ func TestEWMASeedAndDecay(t *testing.T) {
 
 func TestBatchDistribution(t *testing.T) {
 	r := New()
-	for i := 0; i < 10; i++ {
-		r.ObserveQuery("OPT", time.Millisecond, 25, false, false)
+	batched := func(batch int) querylog.Record {
+		q := rec("OPT", time.Millisecond)
+		q.Kind, q.Batch = querylog.KindBatch, batch
+		return q
 	}
-	r.ObserveQuery("OPT", time.Millisecond, 0, false, false) // single: not batched
-	r.ObserveQuery("OPT", time.Millisecond, 1, false, false) // batch of 1: not batched
+	for i := 0; i < 10; i++ {
+		r.Observe(batched(25), 0)
+	}
+	r.Observe(rec("OPT", time.Millisecond), 0) // single: not batched
+	r.Observe(batched(1), 0)                   // batch of 1: not batched
+	failed := batched(40)
+	failed.Err = "internal"
+	r.Observe(failed, 0) // errored: not batched
 	s := r.Snapshot()
 	if s.Batches != 10 {
 		t.Errorf("Batches = %d, want 10", s.Batches)
@@ -95,7 +120,7 @@ func TestBatchDistribution(t *testing.T) {
 
 func TestInferredRatio(t *testing.T) {
 	r := New()
-	r.ObserveEdges("OPT", 75, 25, 40)
+	r.Observe(explained("OPT", 75, 25, 40), 0)
 	s := r.Snapshot().Backends["OPT"]
 	if s.Observed != 1 || s.ExplicitEdges != 75 || s.InferredEdges != 25 || s.ShortcutEdges != 40 {
 		t.Errorf("edge totals = %+v", s)
@@ -107,28 +132,44 @@ func TestInferredRatio(t *testing.T) {
 
 func TestExemplars(t *testing.T) {
 	var nr *Recorder
-	nr.ObserveExemplar("OPT", time.Millisecond, 1) // nil-safe
+	nr.Observe(rec("OPT", time.Millisecond), 1) // nil-safe
 
 	r := New()
-	r.ObserveQuery("OPT", 3*time.Millisecond, 0, false, false)
-	r.ObserveExemplar("OPT", 3*time.Millisecond, 0) // zero ID is dropped
+	r.Observe(rec("OPT", 3*time.Millisecond), 0) // zero ID is no exemplar
+	failed := rec("OPT", 3*time.Millisecond)
+	failed.Err = "internal"
+	r.Observe(failed, 0xdead) // an error lands in no bucket, so no exemplar
 	if ex := r.Snapshot().Backends["OPT"].Exemplars; len(ex) != 0 {
-		t.Fatalf("zero trace ID stored: %+v", ex)
+		t.Fatalf("exemplar stored without a counted observation: %+v", ex)
 	}
-	r.ObserveExemplar("OPT", 3*time.Millisecond, 0xbeef)
-	r.ObserveExemplar("OPT", 3200*time.Microsecond, 0xcafe) // same bucket: overwrites
-	r.ObserveExemplar("OPT", 40*time.Millisecond, 0xf00d)
+	r.Observe(rec("OPT", 3*time.Millisecond), 0xbeef)
+	r.Observe(rec("OPT", 3200*time.Microsecond), 0xcafe) // same bucket: overwrites
+	r.Observe(rec("OPT", 40*time.Millisecond), 0xf00d)
 	s := r.Snapshot()
-	ex := s.Backends["OPT"].Exemplars
-	if len(ex) != 2 {
-		t.Fatalf("exemplars = %+v, want 2 buckets", ex)
+	bs := s.Backends["OPT"]
+	if len(bs.Exemplars) != 2 {
+		t.Fatalf("exemplars = %+v, want 2 buckets", bs.Exemplars)
 	}
 	found := map[qtrace.TraceID]bool{}
-	for _, e := range ex {
+	for _, e := range bs.Exemplars {
 		found[e.TraceID] = true
 	}
 	if !found[0xcafe] || !found[0xf00d] || found[0xbeef] {
-		t.Fatalf("exemplar overwrite wrong: %+v", ex)
+		t.Fatalf("exemplar overwrite wrong: %+v", bs.Exemplars)
+	}
+	// An exemplar sits in a bucket that counts its own observation, and
+	// its value is that observation's latency.
+	counts := bs.LatencyBucketsUS()
+	for i, e := range bs.LatencyExemplars() {
+		if e.TraceID == 0 {
+			continue
+		}
+		if counts[i] == 0 {
+			t.Errorf("exemplar %s sits in count-zero bucket %d", e.TraceID, i)
+		}
+		if want := bits.Len64(uint64(e.Seconds * 1e6)); want != i {
+			t.Errorf("exemplar %s (%gs) in bucket %d, its latency's bucket is %d", e.TraceID, e.Seconds, i, want)
+		}
 	}
 
 	var b strings.Builder
@@ -136,23 +177,25 @@ func TestExemplars(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, `# {trace_id="000000000000cafe"} 0.0032`) {
-		t.Errorf("bucket exemplar missing from exposition:\n%s", out)
-	}
-	// The 40ms exemplar's bucket has no latency observation (a trace's
-	// wall time spans more than the recorded query latency): the bucket
-	// line must still be emitted so the exemplar is not silently lost.
-	if !strings.Contains(out, `# {trace_id="000000000000f00d"} 0.04`) {
-		t.Errorf("exemplar on count-zero bucket missing from exposition:\n%s", out)
+	for _, want := range []string{
+		`# {trace_id="000000000000cafe"} 0.0032`,
+		`# {trace_id="000000000000f00d"} 0.04`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("bucket exemplar %s missing from exposition:\n%s", want, out)
+		}
 	}
 }
 
 func TestWritePrometheus(t *testing.T) {
 	r := New()
-	r.ObserveQuery("OPT", 3*time.Millisecond, 25, false, false)
-	r.ObserveQuery("OPT", 5*time.Millisecond, 0, true, false)
-	r.ObserveQuery("FP", 40*time.Millisecond, 0, false, false)
-	r.ObserveEdges("OPT", 60, 40, 10)
+	batched := rec("OPT", 3*time.Millisecond)
+	batched.Kind, batched.Batch = querylog.KindBatch, 25
+	r.Observe(batched, 0)
+	hit := explained("OPT", 60, 40, 10)
+	hit.Latency, hit.CacheHit = 5*time.Millisecond, true
+	r.Observe(hit, 0)
+	r.Observe(rec("FP", 40*time.Millisecond), 0)
 	var b strings.Builder
 	if err := r.Snapshot().WritePrometheus(&b, "dynslice"); err != nil {
 		t.Fatal(err)
@@ -184,10 +227,12 @@ func TestConcurrentObservers(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.ObserveQuery("OPT", time.Duration(i)*time.Microsecond, i%30, i%5 == 0, false)
+				q := rec("OPT", time.Duration(i)*time.Microsecond)
+				q.Batch, q.CacheHit = i%30, i%5 == 0
 				if i%50 == 0 {
-					r.ObserveEdges("OPT", 10, 3, 1)
+					q.Kind, q.Explicit, q.Inferred, q.Shortcut = querylog.KindExplain, 10, 3, 1
 				}
+				r.Observe(q, qtrace.TraceID(i%7))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}

@@ -159,8 +159,9 @@ func (d *Decoder) Next() (Event, error) {
 		d.done = true
 		return Event{Kind: EvEnd}, nil
 	}
-	id := int(v - 1)
-	if id >= len(d.p.Blocks) {
+	// Compare as uint64: a huge id would turn negative as an int.
+	id := v - 1
+	if id >= uint64(len(d.p.Blocks)) {
 		if d.met != nil {
 			d.met.ErrBadBlock.Inc()
 		}

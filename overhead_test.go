@@ -58,7 +58,7 @@ func pipeline(tb testing.TB, p *slicer.Program, reg *telemetry.Registry) {
 			tb.Fatal(err)
 		}
 		e := s.Engine(slicer.EngineOptions{})
-		for i := 0; i < 2; i++ { // second query is a cache hit (logHit path)
+		for i := 0; i < 2; i++ { // second query is a cache hit
 			if _, err := e.SliceVar("acc"); err != nil {
 				tb.Fatal(err)
 			}

@@ -164,10 +164,10 @@ func TestQtraceDirectQuery(t *testing.T) {
 	if tr == nil {
 		t.Fatalf("trace %s not retained under 1-in-1 sampling", sl.TraceID)
 	}
-	if got := tr.Backend(); got != "LP" {
-		t.Fatalf("trace backend = %q, want LP", got)
-	}
 	ex := tr.Export()
+	if ex.Backend != "LP" {
+		t.Fatalf("trace backend = %q, want LP", ex.Backend)
+	}
 	esp := findSpan(ex, "exec/LP")
 	if esp == nil {
 		t.Fatal("no exec span")

@@ -1,19 +1,24 @@
 package slicer_test
 
-// Integration coverage for the query flight recorder: every query
-// answered through the façade or the QueryEngine must leave exactly one
-// well-formed audit record, cache hits must be attributed, and the
-// workload statistics must reflect the stream. See docs/OBSERVABILITY.md.
+// Integration coverage for the query flight recorder: every backend
+// attempt through the façade or the QueryEngine must leave exactly one
+// well-formed audit record per criterion, cache hits must be
+// attributed, and the workload statistics, traces and exemplars must
+// reflect the same stream. See docs/OBSERVABILITY.md.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	slicer "dynslice"
+	"dynslice/internal/telemetry/qtrace"
 	"dynslice/internal/telemetry/querylog"
 	"dynslice/internal/telemetry/stats"
 )
@@ -21,6 +26,13 @@ import (
 // recordObserved is record() with a query log and stats recorder
 // attached.
 func recordObserved(t *testing.T, src string, input ...int64) (*slicer.Recording, *querylog.Log, *stats.Recorder) {
+	rec, qlog, qst, _ := recordTraced(t, nil, src, input...)
+	return rec, qlog, qst
+}
+
+// recordTraced is recordObserved with a query tracer attached too (nil
+// attaches none).
+func recordTraced(t *testing.T, qtr *qtrace.Tracer, src string, input ...int64) (*slicer.Recording, *querylog.Log, *stats.Recorder, *qtrace.Tracer) {
 	t.Helper()
 	p, err := slicer.Compile(src)
 	if err != nil {
@@ -29,13 +41,83 @@ func recordObserved(t *testing.T, src string, input ...int64) (*slicer.Recording
 	qlog := querylog.New(1024)
 	qst := stats.New()
 	rec, err := p.Record(slicer.RunOptions{
-		Input: input, QueryLog: qlog, QueryStats: qst, TrackCriteria: 10,
+		Input: input, QueryLog: qlog, QueryStats: qst, QueryTrace: qtr, TrackCriteria: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rec.Close)
-	return rec, qlog, qst
+	return rec, qlog, qst, qtr
+}
+
+// oneClockMismatches checks the query-event contract between the
+// records, the retained traces and the exemplars: every record starts
+// when its trace does, and every exemplar's value is the latency of a
+// record of its trace and backend. It returns one line per mismatch.
+func oneClockMismatches(qlog *querylog.Log, qst *stats.Recorder, qtr *qtrace.Tracer) []string {
+	var bad []string
+	recs := qlog.Recent(0)
+	for _, r := range recs {
+		tr := qtr.Get(r.TraceID)
+		if tr == nil {
+			bad = append(bad, fmt.Sprintf("record %d: trace %s not retained", r.ID, r.TraceID))
+			continue
+		}
+		if ex := tr.Export(); !ex.Start.Equal(r.Start) {
+			bad = append(bad, fmt.Sprintf("record %d starts %v after its trace", r.ID, r.Start.Sub(ex.Start)))
+		}
+	}
+	for backend, bs := range qst.Snapshot().Backends {
+		for le, ex := range bs.Exemplars {
+			found := false
+			for _, r := range recs {
+				if r.TraceID == ex.TraceID && r.Backend == backend && r.Latency.Seconds() == ex.Seconds {
+					found = true
+				}
+			}
+			if !found {
+				bad = append(bad, fmt.Sprintf("%s exemplar le=%s (trace %s, %gs) matches no record's latency", backend, le, ex.TraceID, ex.Seconds))
+			}
+		}
+	}
+	return bad
+}
+
+// TestQueryEventOneClock pins the one-clock contract of a query event:
+// engine singles (one miss, then hits), a planned miss, a façade batch
+// and an explain, every trace retained, must agree on start times and
+// exemplar values across the log, the traces and the stats.
+func TestQueryEventOneClock(t *testing.T) {
+	rec, qlog, qst, qtr := recordTraced(t, qtrace.New(256, qtrace.Policy{SampleN: 1}), engineSrc)
+	addrs := engineAddrs(t, rec)
+	e := rec.OPT().Engine(slicer.EngineOptions{})
+	for i := 0; i < 4; i++ {
+		if _, err := e.SliceAddr(addrs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rec.Engine(slicer.EngineOptions{}).SliceAddr(addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.FP().SliceAddrs(addrs[:5]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.OPT().ExplainAddr(addrs[len(addrs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := qlog.Total(), uint64(4+1+5+1); got != want {
+		t.Fatalf("%d records, want %d", got, want)
+	}
+	exemplars := 0
+	for _, bs := range qst.Snapshot().Backends {
+		exemplars += len(bs.Exemplars)
+	}
+	if exemplars == 0 {
+		t.Fatal("no exemplars under 1-in-1 sampling")
+	}
+	if bad := oneClockMismatches(qlog, qst, qtr); len(bad) > 0 {
+		t.Fatalf("%d mismatches between records, traces and exemplars:\n%s", len(bad), strings.Join(bad, "\n"))
+	}
 }
 
 func TestQueryAuditRecords(t *testing.T) {
@@ -223,13 +305,15 @@ func TestTrackCriteria(t *testing.T) {
 	}
 }
 
-// TestQuerylogConcurrentHammer runs concurrent engine queries against a
-// shared flight recorder while /debug/queries readers walk the ring —
-// the root-level race coverage for the audit path (`make test-race`).
+// TestQuerylogConcurrentHammer runs concurrent queries on a fixed and a
+// planned engine against a shared flight recorder, stats recorder and
+// tracer, while readers walk the rings, the stats and /metrics — the
+// root-level race coverage for the query-event path (`make test-race`).
 func TestQuerylogConcurrentHammer(t *testing.T) {
-	rec, qlog, qst := recordObserved(t, engineSrc)
+	rec, qlog, qst, qtr := recordTraced(t, qtrace.New(64, qtrace.DefaultPolicy()), engineSrc)
 	addrs := engineAddrs(t, rec)
-	e := rec.OPT().Engine(slicer.EngineOptions{Workers: 4, CacheSize: 8})
+	fixed := rec.OPT().Engine(slicer.EngineOptions{Workers: 4, CacheSize: 8})
+	planned := rec.Engine(slicer.EngineOptions{Workers: 4, CacheSize: 8})
 
 	const goroutines, rounds = 8, 4
 	var wg sync.WaitGroup
@@ -237,6 +321,10 @@ func TestQuerylogConcurrentHammer(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
+			e := fixed
+			if gi%4 >= 2 {
+				e = planned
+			}
 			for r := 0; r < rounds; r++ {
 				if gi%2 == 0 {
 					if _, err := e.SliceAddrs(addrs); err != nil {
@@ -272,7 +360,16 @@ func TestQuerylogConcurrentHammer(t *testing.T) {
 					t.Errorf("/debug/queries status %d", rr.Code)
 					return
 				}
-				_ = qst.Snapshot()
+				rr = httptest.NewRecorder()
+				qtr.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/qtrace?n=16", nil))
+				if rr.Code != 200 {
+					t.Errorf("/debug/qtrace status %d", rr.Code)
+					return
+				}
+				if err := qst.Snapshot().WritePrometheus(io.Discard, "dynslice"); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
@@ -280,6 +377,7 @@ func TestQuerylogConcurrentHammer(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
+	// No backend faults, so no demotions: one record per criterion.
 	want := uint64(goroutines * rounds * len(addrs))
 	if qlog.Total() != want {
 		t.Errorf("audit records = %d, want %d (one per query)", qlog.Total(), want)
@@ -290,5 +388,26 @@ func TestQuerylogConcurrentHammer(t *testing.T) {
 	}
 	if snap.CacheHits == 0 {
 		t.Error("no cache hits under hammer")
+	}
+	// One trace per call (the Record trace included), each planned one
+	// with a plan; every retained query trace agrees with its records.
+	calls := 1 + goroutines/2*rounds*(1+len(addrs))
+	if got := qtr.Stats().Started; got != uint64(calls) {
+		t.Errorf("traces started = %d, want %d", got, calls)
+	}
+	var plannedRecs int
+	for _, r := range qlog.Recent(0) {
+		if r.Plan != "" {
+			plannedRecs++
+			if r.Plan != r.Backend {
+				t.Errorf("record %d: plan %q but backend %q with no fault in play", r.ID, r.Plan, r.Backend)
+			}
+		}
+		if tr := qtr.Get(r.TraceID); tr != nil && !tr.Export().Start.Equal(r.Start) {
+			t.Errorf("record %d does not start with its retained trace %s", r.ID, r.TraceID)
+		}
+	}
+	if plannedRecs == 0 {
+		t.Error("no planned record in the ring")
 	}
 }

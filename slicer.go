@@ -87,11 +87,6 @@ type RunOptions struct {
 	// see docs/PERFORMANCE.md "Memory layout"). Slices are identical either
 	// way.
 	PlainLabels bool
-	// SequentialBuild disables the pipelined build: graph builders run
-	// inline on the interpreter's goroutine instead of concurrently on
-	// batched event feeds. The graphs are identical either way (see
-	// docs/PERFORMANCE.md).
-	SequentialBuild bool
 	// Telemetry receives phase spans and pipeline counters for this
 	// recording and its slicers. Nil disables collection at near-zero
 	// cost (see docs/OBSERVABILITY.md).
@@ -217,16 +212,15 @@ func (p *Program) Record(o RunOptions) (*Recording, error) {
 	// run, snapshot load, and the instrumented run with its trace write
 	// each render as a span. Retention follows the query policy — a
 	// snapshot miss marks the trace cache-missed.
-	qt := o.QueryTrace.StartQuery("record", 0, 0)
-	rec, err := p.record(o, qt)
-	if err != nil {
-		qt.SetError(querylog.Classify(err))
-	}
-	o.QueryTrace.Finish(qt)
+	qt := o.QueryTrace.StartQuery("record", 0, 0, time.Now())
+	var out qtrace.Outcome
+	rec, err := p.record(o, qt, &out)
+	out.Err = querylog.Classify(err)
+	o.QueryTrace.Finish(qt, out)
 	return rec, err
 }
 
-func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
+func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*Recording, error) {
 	rec := &Recording{p: p, optCfg: opt.Full(), tel: o.Telemetry, qlog: o.QueryLog, qstats: o.QueryStats, qtr: o.QueryTrace, source: "build"}
 	if o.OptConfig != nil {
 		rec.optCfg = *o.OptConfig
@@ -261,10 +255,10 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 		hit := p.loadSnapshot(cache, key, o, rec.optCfg, lsp)
 		lsp.End()
 		if hit != nil {
-			qt.SetCacheHit()
+			out.CacheHit = true
 			return hit, nil
 		}
-		qt.SetCacheMiss()
+		out.CacheMiss = true
 	}
 
 	sp := span.Child("profile")
@@ -329,26 +323,22 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace) (*Recording, error) {
 		rec.fpG.SetTelemetry(o.Telemetry)
 		rec.optG = opt.NewGraph(p.ir, rec.optCfg, rec.hot, rec.cuts)
 		rec.optG.SetTelemetry(o.Telemetry)
-		if o.SequentialBuild {
-			sink = append(sink, rec.fpG, rec.optG)
-		} else {
-			// By default the graph builders run as pipelined Async sinks:
-			// the interpreter batches events into pooled buffers and each
-			// builder consumes its own feed concurrently. The trace writer
-			// stays inline so trace I/O errors surface synchronously. An
-			// attached timeline (telemetry.AttachTimeline) gives each
-			// builder worker its own named row of per-batch activity.
-			tl := o.Telemetry.Timeline()
-			// Epoch-parallel block sealing rides along with the pipelined
-			// build: each builder ships filled label epochs to encode
-			// workers instead of delta-varint compressing them inline.
-			rec.fpG.SetParallelEncode(0)
-			rec.optG.SetParallelEncode(0)
-			afp := trace.NewAsync(rec.fpG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"fp-build"}})
-			aopt := trace.NewAsync(rec.optG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"opt-build"}})
-			asyncs = []*trace.Async{afp, aopt}
-			sink = append(sink, afp, aopt)
-		}
+		// The graph builders run as pipelined Async sinks: the
+		// interpreter batches events into pooled buffers and each builder
+		// consumes its own feed concurrently. The trace writer stays
+		// inline so trace I/O errors surface synchronously. An attached
+		// timeline (telemetry.AttachTimeline) gives each builder worker
+		// its own named row of per-batch activity.
+		tl := o.Telemetry.Timeline()
+		// Epoch-parallel block sealing rides along with the pipelined
+		// build: each builder ships filled label epochs to encode workers
+		// instead of delta-varint compressing them inline.
+		rec.fpG.SetParallelEncode(0)
+		rec.optG.SetParallelEncode(0)
+		afp := trace.NewAsync(rec.fpG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"fp-build"}})
+		aopt := trace.NewAsync(rec.optG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"opt-build"}})
+		asyncs = []*trace.Async{afp, aopt}
+		sink = append(sink, afp, aopt)
 	}
 	if o.WithForward {
 		// The forward index builder stays inline like the picker: its
@@ -569,42 +559,9 @@ func (r *Recording) Criteria() []int64 { return r.crit }
 // value.
 func (r *Recording) Source() string { return r.source }
 
-// queryObserved reports whether per-query audit recording is attached.
-// When false, the query path pays exactly two nil checks (the
-// TestOverhead guard covers this).
-func (r *Recording) queryObserved() bool { return r.qlog != nil || r.qstats != nil }
-
 // QueryTrace returns the per-query causal tracer attached via
 // RunOptions, or nil.
 func (r *Recording) QueryTrace() *qtrace.Tracer { return r.qtr }
-
-// finishTrace closes one query's causal trace and, when the tracer
-// retained it, links it as the latency-histogram exemplar of the bucket
-// the query landed in — the /metrics → /debug/qtrace hop. Safe on nil.
-func (r *Recording) finishTrace(t *qtrace.Trace) {
-	if t == nil {
-		return
-	}
-	r.qtr.Finish(t)
-	if t.Retained() {
-		if b := t.Backend(); b != "" {
-			r.qstats.ObserveExemplar(b, t.Duration(), t.ID())
-		}
-	}
-}
-
-// logQuery publishes one finished query's audit record to the flight
-// recorder and the rolling workload statistics.
-func (r *Recording) logQuery(qr querylog.Record) {
-	qr.Source = r.source
-	r.qlog.Add(qr)
-	if r.qstats != nil {
-		r.qstats.ObserveQuery(qr.Backend, qr.Latency, qr.Batch, qr.CacheHit, qr.Err != "")
-		if qr.Kind == querylog.KindExplain {
-			r.qstats.ObserveEdges(qr.Backend, qr.Explicit, qr.Inferred, qr.Shortcut)
-		}
-	}
-}
 
 // Slice is a slicing result mapped back to the source program.
 type Slice struct {
@@ -645,41 +602,6 @@ type Slicer struct {
 	rec  *Recording
 	name string
 	impl slicing.MultiSlicer
-
-	// Planner attribution, set by planned dispatch (Recording.Engine):
-	// plan is the backend the planner chose, planReason its rationale
-	// (or the fallback cause when this slicer is a later ladder rung).
-	// Every dispatch stamps a fresh *Slicer, so these are immutable once
-	// queries run.
-	plan       string
-	planReason string
-
-	// Causal-trace attribution, stamped the same way: qt is the active
-	// query trace, qspan the parent span execution spans nest under (the
-	// attempt span of this ladder rung, or the root for direct engine
-	// dispatch). Nil/zero when the caller carries no trace — the slicer
-	// then starts its own when the recording has a tracer attached.
-	qt    *qtrace.Trace
-	qspan qtrace.SpanRef
-}
-
-// withTrace returns a shallow copy stamped with the trace, so shared
-// slicers (a fixed-backend engine's) never carry per-query state.
-func (s *Slicer) withTrace(qt *qtrace.Trace, parent qtrace.SpanRef) *Slicer {
-	if qt == nil {
-		return s
-	}
-	c := *s
-	c.qt = qt
-	c.qspan = parent
-	return &c
-}
-
-// logQuery stamps the planner attribution and publishes the record.
-func (s *Slicer) logQuery(qr querylog.Record) {
-	qr.Plan = s.plan
-	qr.PlanReason = s.planReason
-	s.rec.logQuery(qr)
 }
 
 // ensureFP returns the FP graph, building it from the trace on first
@@ -842,102 +764,13 @@ func (u unavailableSlicer) SliceAll([]slicing.Criterion) ([]*slicing.Slice, *sli
 // Name reports which algorithm this slicer uses.
 func (s *Slicer) Name() string { return s.name }
 
-// queryTrace returns the active causal trace and the parent span this
-// query's execution span nests under, minting a fresh trace when the
-// caller carries none but the recording has a tracer attached (direct
-// façade queries). The bool reports ownership: an owned trace is
-// finished by this call; a stamped one belongs to the dispatching
-// engine.
-func (s *Slicer) queryTrace(kind string, addr int64, batch int) (*qtrace.Trace, qtrace.SpanRef, bool) {
-	if s.qt != nil {
-		return s.qt, s.qspan, false
-	}
-	if s.rec.qtr == nil {
-		return nil, qtrace.SpanRef{}, false
-	}
-	qt := s.rec.qtr.StartQuery(kind, addr, batch)
-	return qt, qt.Root(), true
-}
-
-// annotateExec attaches traversal-effort attributes — instance and
-// probe counts, and for LP the trace bytes decoded — to an execution
-// span.
-func annotateExec(esp qtrace.SpanRef, st *slicing.Stats) {
-	if st == nil {
-		return
-	}
-	esp.Int("instances", st.Instances).Int("label_probes", st.LabelProbes)
-	if st.SegScans > 0 || st.SegSkips > 0 {
-		esp.Int("seg_scans", st.SegScans).Int("seg_skips", st.SegSkips).Int("seg_bytes", st.SegBytes)
-	}
-}
-
 // SliceAddr slices on the last definition of the given memory address.
 func (s *Slicer) SliceAddr(addr int64) (*Slice, error) {
-	var id uint64
-	obs := s.rec.queryObserved()
-	if obs {
-		id = s.rec.qlog.NextID()
-	}
-	qt, parent, owned := s.queryTrace(querylog.KindSlice, addr, 0)
-	esp := parent.Child("exec/" + s.name)
-	t0 := time.Now()
-	raw, st, err := s.impl.Slice(slicing.AddrCriterion(addr))
-	elapsed := time.Since(t0)
+	outs, _, err := s.direct(querylog.KindSlice, []int64{addr})
 	if err != nil {
-		class := querylog.Classify(err)
-		esp.EndErr(class)
-		if obs {
-			s.logQuery(querylog.Record{
-				ID: id, Start: t0, Backend: s.name, Kind: querylog.KindSlice,
-				Addr: addr, Latency: elapsed, Err: class, TraceID: qt.ID(),
-			})
-		}
-		if owned {
-			qt.SetError(class)
-			s.rec.finishTrace(qt)
-		}
 		return nil, err
 	}
-	if qt != nil {
-		annotateExec(esp.Int("stmts", int64(raw.Len())), st)
-	}
-	esp.End()
-	qt.SetQueryID(id)
-	if reg := s.rec.tel; reg != nil {
-		reg.ObserveSpan("slice/"+s.name, elapsed)
-		reg.Counter("slice.queries").Inc()
-		reg.Histogram("slice.size").Observe(int64(raw.Len()))
-		if st != nil {
-			reg.Counter("slice.instances").Add(st.Instances)
-			reg.Counter("slice.label_probes").Add(st.LabelProbes)
-		}
-	}
-	sl := &Slice{
-		Lines:   raw.Lines(s.rec.p.ir),
-		Stmts:   raw.Len(),
-		Time:    elapsed,
-		QueryID: id,
-		TraceID: qt.ID(),
-		raw:     raw,
-	}
-	if obs {
-		qr := querylog.Record{
-			ID: id, Start: t0, Backend: s.name, Kind: querylog.KindSlice,
-			Addr: addr, Latency: elapsed, Stmts: sl.Stmts, Lines: len(sl.Lines),
-			TraceID: qt.ID(),
-		}
-		if st != nil {
-			qr.Instances = st.Instances
-			qr.LabelProbes = st.LabelProbes
-		}
-		s.logQuery(qr)
-	}
-	if owned {
-		qt.SetBackend(s.name)
-		s.rec.finishTrace(qt)
-	}
-	return sl, nil
+	return outs[0], nil
 }
 
 // SliceAddrs answers a batch of address criteria in one shared backward
@@ -948,87 +781,8 @@ func (s *Slicer) SliceAddrs(addrs []int64) ([]*Slice, error) {
 	if len(addrs) == 0 {
 		return nil, nil
 	}
-	cs := make([]slicing.Criterion, len(addrs))
-	for i, a := range addrs {
-		cs[i] = slicing.AddrCriterion(a)
-	}
-	obs := s.rec.queryObserved()
-	qt, parent, owned := s.queryTrace(querylog.KindBatch, addrs[0], len(addrs))
-	esp := parent.Child("exec/" + s.name)
-	t0 := time.Now()
-	raws, st, err := s.impl.SliceAll(cs)
-	elapsed := time.Since(t0)
-	if err != nil {
-		class := querylog.Classify(err)
-		esp.EndErr(class)
-		if obs {
-			s.logQuery(querylog.Record{
-				ID: s.rec.qlog.NextID(), Start: t0, Backend: s.name,
-				Kind: querylog.KindBatch, Addr: addrs[0], Batch: len(addrs),
-				Latency: elapsed, Err: class, TraceID: qt.ID(),
-			})
-		}
-		if owned {
-			qt.SetError(class)
-			s.rec.finishTrace(qt)
-		}
-		return nil, err
-	}
-	if qt != nil {
-		annotateExec(esp.Int("criteria", int64(len(addrs))), st)
-	}
-	esp.End()
-	if reg := s.rec.tel; reg != nil {
-		reg.ObserveSpan("slice/"+s.name, elapsed)
-		reg.Counter("slice.queries").Add(int64(len(addrs)))
-		if st != nil {
-			reg.Counter("slice.instances").Add(st.Instances)
-			reg.Counter("slice.label_probes").Add(st.LabelProbes)
-		}
-	}
-	outs := make([]*Slice, len(raws))
-	for i, raw := range raws {
-		if reg := s.rec.tel; reg != nil {
-			reg.Histogram("slice.size").Observe(int64(raw.Len()))
-		}
-		var id uint64
-		if obs {
-			id = s.rec.qlog.NextID()
-		}
-		outs[i] = &Slice{
-			Lines:   raw.Lines(s.rec.p.ir),
-			Stmts:   raw.Len(),
-			Time:    elapsed / time.Duration(len(raws)),
-			QueryID: id,
-			TraceID: qt.ID(),
-			raw:     raw,
-		}
-		if obs {
-			// One audit record per criterion; the batch's wall time is
-			// shared evenly, and the batch-aggregate traversal stats ride
-			// on the first record. All records of one batch share the
-			// batch's causal trace.
-			qr := querylog.Record{
-				ID: id, Start: t0, Backend: s.name, Kind: querylog.KindBatch,
-				Addr: addrs[i], Batch: len(addrs), Latency: outs[i].Time,
-				Stmts: outs[i].Stmts, Lines: len(outs[i].Lines),
-				TraceID: qt.ID(),
-			}
-			if i == 0 && st != nil {
-				qr.Instances = st.Instances
-				qr.LabelProbes = st.LabelProbes
-			}
-			if i == 0 {
-				qt.SetQueryID(id)
-			}
-			s.logQuery(qr)
-		}
-	}
-	if owned {
-		qt.SetBackend(s.name)
-		s.rec.finishTrace(qt)
-	}
-	return outs, nil
+	outs, _, err := s.direct(querylog.KindBatch, addrs)
+	return outs, err
 }
 
 // SliceVar slices on the last definition of a global scalar variable.
