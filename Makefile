@@ -41,6 +41,7 @@ fuzz-native:
 	$(GO) test -fuzz FuzzTraceReader -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzDecodeSegments -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz FuzzLabelsFindRoundTrip -fuzztime 10s ./internal/slicing/opt/
+	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/slicing/snapshot/
 
 # Guard: a disabled telemetry registry may cost at most 5% over none.
 overhead:

@@ -88,12 +88,7 @@ func Resume(p *ir.Program, cp *Checkpoint, o ResumeOptions) (*Result, error) {
 	}
 	var b *ir.Block
 	if cp == nil {
-		m.watermark = GlobalBase + p.GlobalSize
-		m.grow(m.watermark)
-		mainBase := m.watermark
-		m.watermark += p.Main.FrameSize
-		m.grow(m.watermark)
-		m.frames = append(m.frames, frame{fn: p.Main, base: mainBase})
+		m.enterMain()
 		b = p.Main.Entry()
 	} else {
 		if o.StartOrd < cp.Ord {

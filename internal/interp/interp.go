@@ -26,8 +26,10 @@ import (
 )
 
 // GlobalBase is the address of the first global; lower addresses are
-// invalid so that zero-valued (uninitialized) pointers fault on use.
-const GlobalBase int64 = 16
+// invalid so that zero-valued (uninitialized) pointers fault on use. The
+// frame layout follows ir's frame rule (ir.Program.MainFrame,
+// ir.Func.FrameAt).
+const GlobalBase = ir.GlobalBase
 
 // DefaultMaxSteps bounds statement executions when Options.MaxSteps is 0.
 const DefaultMaxSteps int64 = 200_000_000
@@ -128,14 +130,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			m.ckBudget = DefaultCheckpointBudget
 		}
 	}
-	m.watermark = GlobalBase + p.GlobalSize
-	m.grow(m.watermark)
-
-	// Frame for main.
-	mainBase := m.watermark
-	m.watermark += p.Main.FrameSize
-	m.grow(m.watermark)
-	m.frames = append(m.frames, frame{fn: p.Main, base: mainBase})
+	m.enterMain()
 
 	ret, err := m.run(p.Main.Entry())
 	// Telemetry is flushed once from accumulated machine state, so the
@@ -174,6 +169,14 @@ func (nopSink) Block(*ir.Block)                  {}
 func (nopSink) Stmt(*ir.Stmt, []int64, []int64)  {}
 func (nopSink) RegionDef(*ir.Stmt, int64, int64) {}
 func (nopSink) End()                             {}
+
+// enterMain allocates the globals and main's frame.
+func (m *machine) enterMain() {
+	base, wm := m.p.MainFrame()
+	m.watermark = wm
+	m.grow(wm)
+	m.frames = append(m.frames, frame{fn: m.p.Main, base: base})
+}
 
 func (m *machine) grow(n int64) {
 	for int64(len(m.mem)) < n {
@@ -302,9 +305,9 @@ func (m *machine) execBlock(b *ir.Block) (next *ir.Block, ret int64, halted bool
 				}
 				vals[i] = v
 			}
-			base := m.watermark
-			m.watermark += callee.FrameSize
-			m.grow(m.watermark)
+			base, wm := callee.FrameAt(m.watermark)
+			m.watermark = wm
+			m.grow(wm)
 			defs := make([]int64, nArgs)
 			for i, prm := range callee.Params {
 				addr := base + prm.Off

@@ -194,6 +194,50 @@ type Func struct {
 // Entry returns the entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
+// GlobalBase is the address of the first global; lower addresses are
+// invalid so that zero-valued (uninitialized) pointers fault on use.
+const GlobalBase int64 = 16
+
+// The frame rule, shared by the interpreter and the trace decoder: the
+// globals occupy [GlobalBase, GlobalBase+GlobalSize), main's frame
+// follows, and every call allocates its callee's frame at the high-water
+// mark. Frames are never reused, so every address a run touches lies in
+// [GlobalBase, watermark).
+
+// FrameAt returns the base address of a frame of f allocated at
+// watermark w, and the watermark past it.
+func (f *Func) FrameAt(w int64) (base, watermark int64) { return w, w + f.FrameSize }
+
+// MainFrame returns the base address of main's frame and the watermark
+// once it is allocated: the address space a run starts with.
+func (p *Program) MainFrame() (base, watermark int64) {
+	return p.Main.FrameAt(GlobalBase + p.GlobalSize)
+}
+
+// GrowTable extends an address-indexed table to n zeroed slots. A table
+// grows with the address space, a frame at a time, so when it must move
+// it at least doubles: append's 1.25x steps for large slices would copy
+// it about five times over.
+func GrowTable[T any](t []T, n int) []T {
+	if n <= cap(t) {
+		return t[:n] // the table never shrinks, so [len, cap) is zero
+	}
+	out := make([]T, n, max(n, 2*cap(t)))
+	copy(out, t)
+	return out
+}
+
+// TrimTable returns t in an allocation of exactly its length, for a
+// table kept once built.
+func TrimTable[T any](t []T) []T {
+	if len(t) == cap(t) {
+		return t
+	}
+	out := make([]T, len(t))
+	copy(out, t)
+	return out
+}
+
 // Program is a lowered program.
 type Program struct {
 	Funcs      []*Func

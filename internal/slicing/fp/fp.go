@@ -17,7 +17,6 @@
 package fp
 
 import (
-	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -52,18 +51,17 @@ type Graph struct {
 	p *ir.Program
 
 	// Builder state.
-	ts      int64 // next block ordinal
-	curTs   int64 // ordinal of the block being executed
-	lastDef map[int64]instRef
-	frames  []*frameCtx
+	ts     int64 // next block ordinal
+	curTs  int64 // ordinal of the block being executed
+	frames []*frameCtx
 
-	// Snapshot-loaded graphs carry the last-definition table as sorted
-	// parallel arrays instead of the builder's map (lastDef == nil):
-	// bulk array fills load an order of magnitude faster than map
-	// inserts, and criterion resolution only needs one binary search per
-	// query. defOf dispatches between the two forms.
-	defAddrs []int64
-	defRefs  []instRef
+	// The last-definition table, dense by address: frames are never
+	// reused, so the defined addresses fill [ir.GlobalBase, watermark).
+	// defTs holds the defining block ordinal plus one (0: never defined)
+	// and defStmt the defining statement, 12 bytes per address. Built
+	// and snapshot-loaded graphs share this one form.
+	defTs   []int64
+	defStmt []int32
 
 	// Graph proper: per use slot / per block, a compressed (Td, Tu) list
 	// whose aux column is the producing statement ID.
@@ -81,18 +79,45 @@ type Graph struct {
 	tel *telemetry.Registry // optional; flushed once at End
 }
 
+// frameCtx is one call frame's control-dependence state. lastExec holds
+// the ordinal plus one (0: not yet executed) of the frame's most recent
+// execution of each of its function's blocks, indexed by Block.Index.
 type frameCtx struct {
 	fn          *ir.Func
-	lastExec    map[ir.BlockID]int64
+	lastExec    []int64
 	callSite    instRef
 	hasCallSite bool
+}
+
+// pushFrame enters fn one call deeper. Each depth keeps its frame and
+// block table across calls, so a call allocates nothing once the depth
+// has been reached before.
+func (g *Graph) pushFrame(fn *ir.Func) *frameCtx {
+	d := len(g.frames)
+	if d == cap(g.frames) {
+		g.frames = append(g.frames, nil)
+	}
+	g.frames = g.frames[:d+1]
+	fr := g.frames[d]
+	if fr == nil {
+		fr = &frameCtx{}
+		g.frames[d] = fr
+	}
+	n := len(fn.Blocks)
+	if cap(fr.lastExec) < n {
+		fr.lastExec = make([]int64, n)
+	} else {
+		fr.lastExec = fr.lastExec[:n]
+		clear(fr.lastExec)
+	}
+	fr.fn, fr.hasCallSite = fn, false
+	return fr
 }
 
 // NewGraph returns an empty graph/builder for p.
 func NewGraph(p *ir.Program) *Graph {
 	g := &Graph{
 		p:        p,
-		lastDef:  map[int64]instRef{},
 		useEdges: make([][]labelblock.List, len(p.Stmts)),
 		cdEdges:  make([]labelblock.List, len(p.Blocks)),
 		mem:      labelblock.NewArena(),
@@ -127,23 +152,25 @@ func (g *Graph) Block(b *ir.Block) {
 	g.curTs = g.ts
 	g.ts++
 	if len(g.frames) == 0 {
-		g.frames = append(g.frames, &frameCtx{fn: b.Fn, lastExec: map[ir.BlockID]int64{}})
+		g.pushFrame(b.Fn)
 	}
 	fr := g.frames[len(g.frames)-1]
 
 	// Dynamic control dependence: most recent same-frame execution of a
-	// static ancestor; function entries fall back to the call site.
-	bestTs := int64(-1)
+	// static ancestor; function entries fall back to the call site. The
+	// index checks only matter for a corrupt trace that runs a block
+	// outside its function's frame.
+	var best int64 // ordinal plus one; 0: no executed ancestor
 	var bestAnc *ir.Block
 	for _, anc := range b.CDAncestors {
-		if t, ok := fr.lastExec[anc.ID]; ok && t > bestTs {
-			bestTs = t
+		if anc.Index < len(fr.lastExec) && fr.lastExec[anc.Index] > best {
+			best = fr.lastExec[anc.Index]
 			bestAnc = anc
 		}
 	}
 	if bestAnc != nil {
 		term := bestAnc.Terminator()
-		g.cdEdges[b.ID].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: bestTs, Tu: g.curTs}, int32(term.ID))
+		g.cdEdges[b.ID].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: best - 1, Tu: g.curTs}, int32(term.ID))
 		g.cdPairs++
 	} else if fr.hasCallSite && b == b.Fn.Entry() {
 		// Interprocedural control dependence: the function entry depends on
@@ -154,7 +181,9 @@ func (g *Graph) Block(b *ir.Block) {
 		g.cdEdges[b.ID].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: fr.callSite.ts, Tu: g.curTs}, int32(fr.callSite.stmt))
 		g.cdPairs++
 	}
-	fr.lastExec[b.ID] = g.curTs
+	if b.Index < len(fr.lastExec) {
+		fr.lastExec[b.Index] = g.curTs + 1
+	}
 }
 
 // Stmt implements trace.Sink.
@@ -167,22 +196,18 @@ func (g *Graph) Stmt(s *ir.Stmt, uses, defs []int64) {
 		g.useEdges[s.ID] = slots
 	}
 	for i, a := range uses {
-		if d, ok := g.lastDef[a]; ok {
+		if d, ok := g.defOf(a); ok {
 			g.useEdges[s.ID][i].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: d.ts, Tu: g.curTs}, int32(d.stmt))
 			g.dataPairs++
 		}
 	}
 	for _, a := range defs {
-		g.lastDef[a] = instRef{stmt: s.ID, ts: g.curTs}
+		g.define(a, a+1, s.ID)
 	}
 	switch s.Op {
 	case ir.OpCall:
-		g.frames = append(g.frames, &frameCtx{
-			fn:          s.Callee,
-			lastExec:    map[ir.BlockID]int64{},
-			callSite:    instRef{stmt: s.ID, ts: g.curTs},
-			hasCallSite: true,
-		})
+		fr := g.pushFrame(s.Callee)
+		fr.callSite, fr.hasCallSite = instRef{stmt: s.ID, ts: g.curTs}, true
 	case ir.OpReturn:
 		if len(g.frames) > 0 {
 			g.frames = g.frames[:len(g.frames)-1]
@@ -192,19 +217,39 @@ func (g *Graph) Stmt(s *ir.Stmt, uses, defs []int64) {
 
 // RegionDef implements trace.Sink.
 func (g *Graph) RegionDef(s *ir.Stmt, start, length int64) {
-	for a := start; a < start+length; a++ {
-		g.lastDef[a] = instRef{stmt: s.ID, ts: g.curTs}
+	g.define(start, start+length, s.ID)
+}
+
+// define records the current block's statement s as the last definition
+// of the addresses [lo, hi), growing the table to cover them.
+func (g *Graph) define(lo, hi int64, s ir.StmtID) {
+	if hi > int64(len(g.defTs)) {
+		g.defTs = ir.GrowTable(g.defTs, int(hi))
+		g.defStmt = ir.GrowTable(g.defStmt, int(hi))
+	}
+	for a := lo; a < hi; a++ {
+		g.defTs[a] = g.curTs + 1
+		g.defStmt[a] = int32(s)
 	}
 }
 
 // SetTelemetry attaches a registry; the builder keeps plain counters and
-// flushes them when the trace ends.
-func (g *Graph) SetTelemetry(reg *telemetry.Registry) { g.tel = reg }
+// flushes them when the trace ends. A graph that already holds its
+// last-definition table (one loaded from a snapshot) publishes that
+// table's size at once.
+func (g *Graph) SetTelemetry(reg *telemetry.Registry) {
+	g.tel = reg
+	if len(g.defTs) > 0 {
+		reg.Gauge("fp.graph.bytes.lastdef").Set(g.LastDefBytes())
+	}
+}
 
 // End implements trace.Sink. Every list is compacted (short clean tails
 // sealed) so the frozen graph sits at maximum compression and lookups
 // never mutate it — required for concurrent SliceAll.
 func (g *Graph) End() {
+	g.defTs, g.defStmt = ir.TrimTable(g.defTs), ir.TrimTable(g.defStmt)
+	g.frames = nil
 	g.enc.Drain()
 	for _, slots := range g.useEdges {
 		for i := range slots {
@@ -226,6 +271,7 @@ func (g *Graph) End() {
 		reg.Gauge("fp.graph.bytes.labels").Set(g.LabelBytes())
 		reg.Gauge("fp.graph.bytes.edges").Set(g.EdgeBytes())
 		reg.Gauge("fp.graph.bytes.resident").Set(g.ResidentBytes())
+		reg.Gauge("fp.graph.bytes.lastdef").Set(g.LastDefBytes())
 	}
 }
 
@@ -235,18 +281,19 @@ func (g *Graph) LastDefOf(addr int64) (ir.StmtID, int64, bool) {
 	return d.stmt, d.ts, ok
 }
 
-// defOf resolves the last definition of addr in either table form: the
-// builder's map, or a loaded graph's sorted arrays.
+// defOf resolves the last definition of addr; any address outside the
+// table, negative ones included, was never defined.
 func (g *Graph) defOf(addr int64) (instRef, bool) {
-	if g.lastDef != nil {
-		d, ok := g.lastDef[addr]
-		return d, ok
+	if uint64(addr) >= uint64(len(g.defTs)) || g.defTs[addr] == 0 {
+		return instRef{}, false
 	}
-	if i, ok := slices.BinarySearch(g.defAddrs, addr); ok {
-		return g.defRefs[i], true
-	}
-	return instRef{}, false
+	return instRef{stmt: ir.StmtID(g.defStmt[addr]), ts: g.defTs[addr] - 1}, true
 }
+
+// LastDefBytes reports the resident bytes of the last-definition table.
+// It is not part of ResidentBytes, which counts the dependence
+// representation only.
+func (g *Graph) LastDefBytes() int64 { return int64(cap(g.defTs))*8 + int64(cap(g.defStmt))*4 }
 
 // DataPairs returns the number of data dependence labels.
 func (g *Graph) DataPairs() int64 { return g.dataPairs }

@@ -1,7 +1,6 @@
 package fp
 
 import (
-	"sort"
 	"sync"
 	"testing"
 
@@ -37,11 +36,12 @@ func main() {
 `
 
 func definedAddrs(g *Graph) []int64 {
-	addrs := make([]int64, 0, len(g.lastDef))
-	for a := range g.lastDef {
-		addrs = append(addrs, a)
+	var addrs []int64
+	for a, ts1 := range g.defTs {
+		if ts1 != 0 {
+			addrs = append(addrs, int64(a))
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	return addrs
 }
 

@@ -8,20 +8,21 @@ package fp
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"dynslice/internal/ir"
 	"dynslice/internal/slicing/labelblock"
 )
 
-func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
-func unzig(u uint64) int64  { return int64(u>>1) ^ -int64(u&1) }
-
 // AppendSnapshot serializes the frozen graph (call after End). The
-// encoding is deterministic: map-backed state is emitted in sorted order,
-// so identical graphs produce identical bytes (the golden-snapshot format
-// guard relies on this).
+// encoding is deterministic, so identical graphs produce identical bytes
+// (the golden-snapshot format guard relies on this). dst grows once, to
+// the graph's own bound on the section: encoded label lists never exceed
+// their resident bytes, and a table slot costs at most an ordinal and a
+// statement varint.
 func (g *Graph) AppendSnapshot(dst []byte) []byte {
+	slot := labelblock.UvarintLen(uint64(g.ts)) + labelblock.UvarintLen(uint64(len(g.p.Stmts)))
+	dst = slices.Grow(dst, int(g.ResidentBytes())+len(g.defTs)*slot+64)
 	dst = binary.AppendUvarint(dst, uint64(g.ts))
 	dst = binary.AppendUvarint(dst, uint64(g.dataPairs))
 	dst = binary.AppendUvarint(dst, uint64(g.cdPairs))
@@ -31,27 +32,15 @@ func (g *Graph) AppendSnapshot(dst []byte) []byte {
 		dst = append(dst, 0)
 	}
 
-	// Last-definition table, sorted by address for deterministic bytes.
-	// A loaded graph already holds it as sorted arrays (lastDef == nil).
-	addrs, refs := g.defAddrs, g.defRefs
-	if g.lastDef != nil {
-		addrs = make([]int64, 0, len(g.lastDef))
-		for a := range g.lastDef {
-			addrs = append(addrs, a)
+	// Last-definition table, dense: the slot count, then per address its
+	// ordinal plus one (0: never defined) and, when defined, the
+	// statement.
+	dst = binary.AppendUvarint(dst, uint64(len(g.defTs)))
+	for a, ts1 := range g.defTs {
+		dst = binary.AppendUvarint(dst, uint64(ts1))
+		if ts1 != 0 {
+			dst = binary.AppendUvarint(dst, uint64(g.defStmt[a]))
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		refs = make([]instRef, len(addrs))
-		for i, a := range addrs {
-			refs[i] = g.lastDef[a]
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(addrs)))
-	prev := int64(0)
-	for i, a := range addrs {
-		dst = binary.AppendUvarint(dst, zigzag(a-prev))
-		dst = binary.AppendUvarint(dst, uint64(refs[i].stmt))
-		dst = binary.AppendUvarint(dst, uint64(refs[i].ts))
-		prev = a
 	}
 
 	// Columnar label lists: per statement its use-slot lists (0 slots =
@@ -99,40 +88,32 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	g.plain = data[0] != 0
 	data = data[1:]
 
-	nDefs, data, err := snapUvarint(data, "lastDef count")
+	nDefs, data, err := snapUvarint(data, "lastDef slot count")
 	if err != nil {
 		return nil, err
 	}
 	if nDefs > uint64(len(data)) {
-		// Every entry costs at least one byte; reject before allocating.
-		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "fp: lastDef count %d exceeds remaining data", nDefs)
+		// Every slot costs at least one byte; reject before allocating.
+		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "fp: lastDef slot count %d exceeds remaining data", nDefs)
 	}
-	// Bulk-fill the sorted-array form (defOf binary-searches it); the
-	// builder's map would cost a hashed insert per address here.
-	g.defAddrs = make([]int64, nDefs)
-	g.defRefs = make([]instRef, nDefs)
-	prev := int64(0)
-	for i := uint64(0); i < nDefs; i++ {
-		var da, st, dts uint64
-		if da, data, err = snapUvarint(data, "lastDef addr"); err != nil {
+	g.defTs = make([]int64, nDefs)
+	g.defStmt = make([]int32, nDefs)
+	for a := range g.defTs {
+		var ts1, st uint64
+		if ts1, data, err = snapUvarint(data, "lastDef ts"); err != nil {
 			return nil, err
+		}
+		if ts1 == 0 {
+			continue
 		}
 		if st, data, err = snapUvarint(data, "lastDef stmt"); err != nil {
 			return nil, err
 		}
-		if dts, data, err = snapUvarint(data, "lastDef ts"); err != nil {
-			return nil, err
+		if ts1 > ts || st >= uint64(len(p.Stmts)) {
+			return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "fp: lastDef (ts %d, stmt %d) out of range", ts1-1, st)
 		}
-		addr := prev + unzig(da)
-		if i > 0 && addr <= prev {
-			return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "fp: lastDef addresses not strictly ascending")
-		}
-		prev = addr
-		if st >= uint64(len(p.Stmts)) {
-			return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "fp: lastDef stmt %d out of range", st)
-		}
-		g.defAddrs[i] = addr
-		g.defRefs[i] = instRef{stmt: ir.StmtID(st), ts: int64(dts)}
+		g.defTs[a] = int64(ts1)
+		g.defStmt[a] = int32(st)
 	}
 
 	nStmts, data, err := snapUvarint(data, "useEdges length")

@@ -3,6 +3,7 @@ package labelblock
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Classified decode errors. Every failure to parse serialized label data
@@ -50,6 +51,9 @@ const (
 	maxFramedBlocks = 1 << 28
 )
 
+// minBlockBytes is the smallest encoded block: four one-byte varints.
+const minBlockBytes = 4
+
 // maxBlockPayload bounds an encoded block's byte size: three maximal
 // varints per pair (Tu delta, Td delta, aux delta).
 func maxBlockPayload(n uint64) uint64 { return n * 3 * binary.MaxVarintLen64 }
@@ -82,6 +86,10 @@ func DecodeBlocks(data []byte, hasAux bool) (blocks []Block, rest []byte, err er
 	}
 	if count > maxFramedBlocks {
 		return nil, nil, corrupt(ClassBadBlock, "implausible block count %d", count)
+	}
+	if count > uint64(len(data))/minBlockBytes {
+		// Reject before allocating: a block header alone is four varints.
+		return nil, nil, corrupt(ClassTruncated, "block count %d exceeds remaining data", count)
 	}
 	blocks = make([]Block, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -134,6 +142,10 @@ func Corrupt(class, format string, args ...any) error {
 func DecodeUvarint(data []byte, what string) (uint64, []byte, error) {
 	return decUvarint(data, what)
 }
+
+// UvarintLen is the encoded length of v (exported for the graph
+// snapshot codecs, which size their output buffers with it).
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // decUvarint reads one uvarint off data, classifying failures.
 func decUvarint(data []byte, what string) (uint64, []byte, error) {
@@ -199,6 +211,10 @@ func DecodeList(data []byte) (List, []byte, error) {
 	}
 	if nTail > maxFramedBlocks {
 		return l, nil, corrupt(ClassBadBlock, "implausible tail length %d", nTail)
+	}
+	if nTail > uint64(len(data))/2 {
+		// Reject before allocating: a tail pair is two varints.
+		return l, nil, corrupt(ClassTruncated, "tail length %d exceeds remaining data", nTail)
 	}
 	var n int32
 	for i := range blocks {

@@ -40,20 +40,44 @@ type stmtRec struct {
 // trackVal records how a tracked use slot (a use-use edge target) resolved
 // during the current node execution.
 type trackVal struct {
-	d  DefRef
-	ok bool
+	key int32 // si<<8 | slot
+	ok  bool
+	d   DefRef
 }
 
 // execCtx is the per-node-execution context. It survives suspension at
-// calls within superblock nodes.
+// calls within superblock nodes; a finished execution's context is
+// recycled.
 type execCtx struct {
-	track   map[int32]trackVal
-	anc0    InstLoc // first resolved control ancestor of this execution
+	track   []trackVal // tracked use slots resolved so far; a node has few
+	anc0    InstLoc    // first resolved control ancestor of this execution
 	ta0     int64
 	anc0Set bool
 }
 
-func newExecCtx() *execCtx { return &execCtx{track: map[int32]trackVal{}} }
+// tracked returns how the tracked use slot key resolved in this execution.
+func (c *execCtx) tracked(key int32) (trackVal, bool) {
+	for i := len(c.track) - 1; i >= 0; i-- {
+		if c.track[i].key == key {
+			return c.track[i], true
+		}
+	}
+	return trackVal{}, false
+}
+
+func (g *Graph) newExecCtx() *execCtx {
+	if n := len(g.ctxPool); n > 0 {
+		c := g.ctxPool[n-1]
+		g.ctxPool = g.ctxPool[:n-1]
+		return c
+	}
+	return &execCtx{}
+}
+
+func (g *Graph) freeExecCtx(c *execCtx) {
+	*c = execCtx{track: c.track[:0]}
+	g.ctxPool = append(g.ctxPool, c)
+}
 
 // pendState is a suspended superblock-node execution, owned by a frame.
 type pendState struct {
@@ -65,7 +89,6 @@ type pendState struct {
 
 // contBuf is a continuation block whose records are being collected.
 type contBuf struct {
-	fr    *frameCtx
 	p     *pendState
 	entry bufEntry
 }
@@ -78,34 +101,42 @@ type nodeInst struct {
 	live bool
 }
 
+// frameCtx is one call frame's state. lastExec holds the frame's most
+// recent execution of each of its function's blocks, indexed by
+// Block.Index.
 type frameCtx struct {
 	fn          *ir.Func
-	lastExec    map[ir.BlockID]nodeInst
+	lastExec    []nodeInst
 	callSite    InstLoc
 	callTs      int64
 	hasCallSite bool
 	pending     *pendState
 }
 
-// newFrame takes a frame context from the free list (maps are recycled to
-// avoid per-call allocation).
-func (g *Graph) newFrame() *frameCtx {
-	if n := len(g.framePool); n > 0 {
-		fr := g.framePool[n-1]
-		g.framePool = g.framePool[:n-1]
-		for k := range fr.lastExec {
-			delete(fr.lastExec, k)
-		}
-		*fr = frameCtx{lastExec: fr.lastExec}
-		return fr
+// pushFrame enters fn one call deeper. Each depth keeps its frame and
+// block table across calls, so a call allocates nothing once the depth
+// has been reached before.
+func (g *Graph) pushFrame(fn *ir.Func) *frameCtx {
+	d := len(g.frames)
+	if d == cap(g.frames) {
+		g.frames = append(g.frames, nil)
 	}
-	return &frameCtx{lastExec: map[ir.BlockID]nodeInst{}}
-}
-
-func (g *Graph) freeFrame(fr *frameCtx) {
-	if len(g.framePool) < 64 {
-		g.framePool = append(g.framePool, fr)
+	g.frames = g.frames[:d+1]
+	fr := g.frames[d]
+	if fr == nil {
+		fr = &frameCtx{}
+		g.frames[d] = fr
 	}
+	n := len(fn.Blocks)
+	le := fr.lastExec
+	if cap(le) < n {
+		le = make([]nodeInst, n)
+	} else {
+		le = le[:n]
+		clear(le)
+	}
+	*fr = frameCtx{fn: fn, lastExec: le}
+	return fr
 }
 
 // Block implements trace.Sink.
@@ -122,12 +153,20 @@ func (g *Graph) Block(b *ir.Block) {
 		n := g.nodes[p.node]
 		if int(p.nextOcc) < len(n.Occs) && n.Occs[p.nextOcc].B == b {
 			fr.pending = nil
-			g.pendingCont = &contBuf{fr: fr, p: p, entry: bufEntry{b: b}}
+			g.cont = contBuf{p: p, entry: bufEntry{b: b, stmts: g.cont.entry.stmts[:0]}}
+			g.pendingCont = &g.cont
 			return
 		}
 		fr.pending = nil // defensive: unexpected control transfer
 	}
-	g.buf = append(g.buf, bufEntry{b: b})
+	// Reuse the slot's statement buffer from earlier flushes (reset left
+	// it empty).
+	if n := len(g.buf); n < cap(g.buf) {
+		g.buf = g.buf[:n+1]
+		g.buf[n].b = b
+	} else {
+		g.buf = append(g.buf, bufEntry{b: b})
+	}
 }
 
 // Stmt implements trace.Sink.
@@ -159,7 +198,9 @@ func (g *Graph) RegionDef(s *ir.Stmt, start, length int64) {
 	e.stmts = append(e.stmts, rec)
 }
 
-// End implements trace.Sink.
+// End implements trace.Sink. The frozen graph keeps its last-definition
+// table in an allocation of exactly its length and drops the builder
+// scratch.
 func (g *Graph) End() {
 	if g.pendingCont != nil {
 		g.finishCont()
@@ -167,6 +208,8 @@ func (g *Graph) End() {
 	if len(g.buf) > 0 {
 		g.flush()
 	}
+	g.lastDef = ir.TrimTable(g.lastDef)
+	g.frames, g.buf, g.arena, g.ctxPool, g.cont = nil, nil, nil, nil, contBuf{}
 	g.Finalize()
 	g.flushTelemetry()
 }
@@ -174,9 +217,7 @@ func (g *Graph) End() {
 // topFrame returns the current frame, lazily creating the root frame.
 func (g *Graph) topFrame(b *ir.Block) *frameCtx {
 	if len(g.frames) == 0 {
-		fr := g.newFrame()
-		fr.fn = b.Fn
-		g.frames = append(g.frames, fr)
+		g.pushFrame(b.Fn)
 	}
 	return g.frames[len(g.frames)-1]
 }
@@ -255,8 +296,9 @@ func (g *Graph) processNode(nid NodeID, startOcc int32, entries []bufEntry, ts i
 		g.ts++
 	}
 	if ctx == nil {
-		ctx = newExecCtx()
+		ctx = g.newExecCtx()
 	}
+	suspended := false
 	owner := g.topFrame(entries[0].b)
 
 	for oi := range entries {
@@ -265,26 +307,26 @@ func (g *Graph) processNode(nid NodeID, startOcc int32, entries []bufEntry, ts i
 		fr := g.frames[len(g.frames)-1]
 		occ := &n.Occs[occIdx]
 		g.processCD(n, occ, b, ts, fr, ctx)
-		fr.lastExec[b.ID] = nodeInst{node: nid, occ: occIdx, ts: ts, live: true}
+		if b.Index < len(fr.lastExec) {
+			fr.lastExec[b.Index] = nodeInst{node: nid, occ: occIdx, ts: ts, live: true}
+		}
 
 		si := occ.StmtOff
 		for ri := range entries[oi].stmts {
 			rec := &entries[oi].stmts[ri]
 			sc := &n.Stmts[si]
+			loc := InstLoc{Node: nid, Stmt: si}
 			if rec.region {
-				ref := DefRef{Loc: InstLoc{Node: nid, Stmt: si}, Ts: ts, Live: true}
-				for a := rec.regStart; a < rec.regStart+rec.regLen; a++ {
-					g.lastDef[a] = ref
-				}
+				g.define(rec.regStart, rec.regStart+rec.regLen, loc, ts)
 				si++
 				continue
 			}
 			for k := int32(0); k < rec.useLen; k++ {
 				g.processUse(nid, n, si, k, g.arena[rec.useOff+k], ts, ctx)
 			}
-			ref := DefRef{Loc: InstLoc{Node: nid, Stmt: si}, Ts: ts, Live: true}
 			for k := int32(0); k < rec.defLen; k++ {
-				g.lastDef[g.arena[rec.defOff+k]] = ref
+				a := g.arena[rec.defOff+k]
+				g.define(a, a+1, loc, ts)
 			}
 			switch sc.S.Op {
 			case ir.OpCall:
@@ -292,32 +334,45 @@ func (g *Graph) processNode(nid NodeID, startOcc int32, entries []bufEntry, ts i
 				// enter the callee.
 				if int(occIdx)+1 < len(n.Occs) {
 					owner.pending = &pendState{node: nid, ts: ts, nextOcc: occIdx + 1, ctx: ctx}
+					suspended = true
 				}
-				fr2 := g.newFrame()
-				fr2.fn = sc.S.Callee
-				fr2.callSite = InstLoc{Node: nid, Stmt: si}
+				fr2 := g.pushFrame(sc.S.Callee)
+				fr2.callSite = loc
 				fr2.callTs = ts
 				fr2.hasCallSite = true
-				g.frames = append(g.frames, fr2)
 			case ir.OpReturn:
 				if len(g.frames) > 0 {
-					g.freeFrame(g.frames[len(g.frames)-1])
 					g.frames = g.frames[:len(g.frames)-1]
 				}
 			}
 			si++
 		}
 	}
+	if !suspended {
+		g.freeExecCtx(ctx)
+	}
 	g.maybeFlush()
+}
+
+// define records statement copy loc, executing at ts, as the last
+// definition of the addresses [lo, hi), growing the table to cover them.
+func (g *Graph) define(lo, hi int64, loc InstLoc, ts int64) {
+	if hi > int64(len(g.lastDef)) {
+		g.lastDef = ir.GrowTable(g.lastDef, int(hi))
+	}
+	d := defSlot{ts1: ts + 1, loc: loc}
+	for a := lo; a < hi; a++ {
+		g.lastDef[a] = d
+	}
 }
 
 // processUse handles one use-slot execution: verify static coverage, else
 // record an explicit label.
 func (g *Graph) processUse(nid NodeID, n *Node, si, slot int32, addr int64, ts int64, ctx *execCtx) {
 	g.elim.UseSlots++
-	d, ok := g.lastDef[addr]
+	d, ok := g.defOf(addr)
 	if n.tracked(si, slot) {
-		ctx.track[si<<8|slot] = trackVal{d: d, ok: ok}
+		ctx.track = append(ctx.track, trackVal{key: si<<8 | slot, ok: ok, d: d})
 	}
 	us := n.useSet(si, slot)
 	if !ok {
@@ -340,7 +395,7 @@ func (g *Graph) processUse(nid NodeID, n *Node, si, slot int32, addr int64, ts i
 			return // inferable: td == tu within this node execution
 		}
 	case SUU:
-		if tv, has := ctx.track[us.StTgtStmt<<8|us.StTgtSlot]; has && tv.ok && tv.d.Loc == d.Loc && tv.d.Ts == d.Ts {
+		if tv, has := ctx.tracked(us.StTgtStmt<<8 | us.StTgtSlot); has && tv.ok && tv.d == d {
 			g.elim.OPT2UU++
 			return // same producing instance as the earlier use
 		}
@@ -394,8 +449,11 @@ func (g *Graph) processCD(n *Node, occ *Occ, b *ir.Block, ts int64, fr *frameCtx
 	g.elim.CDExecs++
 	var anc nodeInst
 	for _, h := range b.CDAncestors {
-		e, ok := fr.lastExec[h.ID]
-		if !ok {
+		if h.Index >= len(fr.lastExec) {
+			continue // corrupt trace: a block outside its function's frame
+		}
+		e := fr.lastExec[h.Index]
+		if !e.live {
 			continue
 		}
 		// Most recent execution; equal timestamps mean the same node

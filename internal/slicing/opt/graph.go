@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -353,9 +352,16 @@ func (n *Node) setTracked(si, slot int32) {
 
 // DefRef identifies the statement instance that last defined an address.
 type DefRef struct {
-	Loc  InstLoc
-	Ts   int64
-	Live bool
+	Loc InstLoc
+	Ts  int64
+}
+
+// defSlot is one last-definition table entry: the defining node
+// execution's timestamp plus one (0: never defined) and the defining
+// statement copy, packed in 16 bytes.
+type defSlot struct {
+	ts1 int64
+	loc InstLoc
 }
 
 // Graph is the compacted dynamic dependence graph (static component plus
@@ -385,20 +391,17 @@ type Graph struct {
 	occCopies map[ir.BlockID][]occLoc
 
 	// Dynamic state (builder); see build.go.
-	ts      int64
-	lastDef map[int64]DefRef
-	// Snapshot-loaded graphs carry the last-definition table as sorted
-	// parallel arrays instead of the builder's map (lastDef == nil):
-	// bulk array fills load an order of magnitude faster than map
-	// inserts, and criterion resolution only needs one binary search per
-	// query. defOf dispatches between the two forms.
-	defAddrs    []int64
-	defRefs     []DefRef
+	ts int64
+	// The last-definition table, dense by address: frames are never
+	// reused, so the defined addresses fill [ir.GlobalBase, watermark).
+	// Built and snapshot-loaded graphs share this one form.
+	lastDef     []defSlot
 	cuts        *profile.Cuts
 	frames      []*frameCtx
 	buf         []bufEntry
 	arena       []int64
 	pendingCont *contBuf
+	cont        contBuf // the one continuation pendingCont points at
 
 	// Shortcut closures, computed lazily after building. The memo is the
 	// one graph structure concurrent queries write; shortcutMu guards it.
@@ -415,7 +418,7 @@ type Graph struct {
 	workers atomic.Int32
 
 	// Builder scratch.
-	framePool  []*frameCtx
+	ctxPool    []*execCtx
 	keyScratch []byte
 
 	// Label storage: block payloads and recycled tails come from mem;
@@ -609,18 +612,20 @@ func (g *Graph) LastDefOf(addr int64) (DefRef, bool) {
 	return g.defOf(addr)
 }
 
-// defOf resolves the last definition of addr in either table form: the
-// builder's map, or a loaded graph's sorted arrays.
+// defOf resolves the last definition of addr; any address outside the
+// table, negative ones included, was never defined.
 func (g *Graph) defOf(addr int64) (DefRef, bool) {
-	if g.lastDef != nil {
-		d, ok := g.lastDef[addr]
-		return d, ok
+	if uint64(addr) >= uint64(len(g.lastDef)) || g.lastDef[addr].ts1 == 0 {
+		return DefRef{}, false
 	}
-	if i, ok := slices.BinarySearch(g.defAddrs, addr); ok {
-		return g.defRefs[i], true
-	}
-	return DefRef{}, false
+	d := &g.lastDef[addr]
+	return DefRef{Loc: d.loc, Ts: d.ts1 - 1}, true
 }
+
+// LastDefBytes reports the resident bytes of the last-definition table.
+// It is not part of ResidentBytes, which counts the dependence
+// representation only.
+func (g *Graph) LastDefBytes() int64 { return int64(cap(g.lastDef)) * int64(unsafe.Sizeof(defSlot{})) }
 
 // StmtAt returns the IR statement of a copy location.
 func (g *Graph) StmtAt(loc InstLoc) *ir.Stmt { return g.nodes[loc.Node].Stmts[loc.Stmt].S }

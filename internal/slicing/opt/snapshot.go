@@ -20,6 +20,7 @@ package opt
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"dynslice/internal/ir"
@@ -82,12 +83,21 @@ func configFromBits(b uint64) Config {
 
 // AppendSnapshot serializes the frozen graph (call after Finalize). The
 // encoding is deterministic — map-backed state is emitted sorted — so
-// identical graphs produce identical bytes. Hybrid graphs refuse: their
-// labels live partly in disk epoch files.
+// identical graphs produce identical bytes. dst grows once, to the
+// graph's own bound on the section: the encoded dynamic component never
+// exceeds the resident graph, and a table slot costs at most a timestamp
+// and a location. Hybrid graphs refuse: their labels live partly in disk
+// epoch files.
 func (g *Graph) AppendSnapshot(dst []byte) ([]byte, error) {
 	if g.hybrid != nil {
 		return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "opt: hybrid graphs are not snapshottable")
 	}
+	maxStmts := 0
+	for _, n := range g.nodes {
+		maxStmts = max(maxStmts, len(n.Stmts))
+	}
+	slot := labelblock.UvarintLen(uint64(g.ts)) + labelblock.UvarintLen(uint64(len(g.nodes))) + labelblock.UvarintLen(uint64(maxStmts))
+	dst = slices.Grow(dst, int(g.ResidentBytes())+len(g.lastDef)*slot+64)
 	dst = binary.AppendUvarint(dst, g.cfg.bits())
 	dst = binary.AppendUvarint(dst, uint64(g.cfg.MinPathFreq))
 	dst = binary.AppendUvarint(dst, uint64(g.cfg.MaxPathsPerFunc))
@@ -106,28 +116,16 @@ func (g *Graph) AppendSnapshot(dst []byte) ([]byte, error) {
 
 	dst = binary.AppendUvarint(dst, uint64(g.ts))
 
-	// Last-definition table, sorted by address. A loaded graph already
-	// holds it as sorted arrays (lastDef == nil).
-	addrs, refs := g.defAddrs, g.defRefs
-	if g.lastDef != nil {
-		addrs = make([]int64, 0, len(g.lastDef))
-		for a := range g.lastDef {
-			addrs = append(addrs, a)
+	// Last-definition table, dense: the slot count, then per address its
+	// timestamp plus one (0: never defined) and, when defined, the
+	// statement copy.
+	dst = binary.AppendUvarint(dst, uint64(len(g.lastDef)))
+	for i := range g.lastDef {
+		d := &g.lastDef[i]
+		dst = binary.AppendUvarint(dst, uint64(d.ts1))
+		if d.ts1 != 0 {
+			dst = appendLoc(dst, d.loc)
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		refs = make([]DefRef, len(addrs))
-		for i, a := range addrs {
-			refs[i] = g.lastDef[a]
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(addrs)))
-	prev := int64(0)
-	for i, a := range addrs {
-		dst = binary.AppendUvarint(dst, zigzag(a-prev))
-		dst = appendLoc(dst, refs[i].Loc)
-		dst = binary.AppendUvarint(dst, uint64(refs[i].Ts))
-		dst = appendBool(dst, refs[i].Live)
-		prev = a
 	}
 
 	// Label registry, in id order.
@@ -203,13 +201,6 @@ func (g *Graph) pathSeqs() [][]*ir.Block {
 func appendLoc(dst []byte, loc InstLoc) []byte {
 	dst = binary.AppendUvarint(dst, uint64(loc.Node))
 	return binary.AppendUvarint(dst, uint64(loc.Stmt))
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
 }
 
 // appendDefault serializes an adaptive default rule. A still-warming rule
@@ -300,45 +291,31 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	}
 	g.ts = int64(ts)
 
-	nDefs, data, err := snapUvarint(data, "lastDef count")
+	nDefs, data, err := snapUvarint(data, "lastDef slot count")
 	if err != nil {
 		return nil, err
 	}
 	if nDefs > uint64(len(data)) {
-		// Every entry costs at least one byte; reject before allocating.
-		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "opt: lastDef count %d exceeds remaining data", nDefs)
+		// Every slot costs at least one byte; reject before allocating.
+		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "opt: lastDef slot count %d exceeds remaining data", nDefs)
 	}
-	// Bulk-fill the sorted-array form (defOf binary-searches it) and drop
-	// the static graph's empty map: hashed inserts per address are the
-	// single largest cost of loading a large image.
-	g.lastDef = nil
-	g.defAddrs = make([]int64, nDefs)
-	g.defRefs = make([]DefRef, nDefs)
-	prev := int64(0)
-	for i := uint64(0); i < nDefs; i++ {
-		var da, dts uint64
-		var loc InstLoc
-		if da, data, err = snapUvarint(data, "lastDef addr"); err != nil {
+	g.lastDef = make([]defSlot, nDefs)
+	for a := range g.lastDef {
+		var ts1 uint64
+		if ts1, data, err = snapUvarint(data, "lastDef ts"); err != nil {
 			return nil, err
 		}
-		if loc, data, err = g.decodeLoc(data, "lastDef"); err != nil {
+		if ts1 == 0 {
+			continue
+		}
+		if ts1 > ts {
+			return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "opt: lastDef ts %d out of range", ts1-1)
+		}
+		d := &g.lastDef[a]
+		d.ts1 = int64(ts1)
+		if d.loc, data, err = g.decodeLoc(data, "lastDef"); err != nil {
 			return nil, err
 		}
-		if dts, data, err = snapUvarint(data, "lastDef ts"); err != nil {
-			return nil, err
-		}
-		if len(data) == 0 {
-			return nil, labelblock.Corrupt(labelblock.ClassTruncated, "opt: data ends inside lastDef live flag")
-		}
-		live := data[0] != 0
-		data = data[1:]
-		addr := prev + unzig(da)
-		if i > 0 && addr <= prev {
-			return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "opt: lastDef addresses not strictly ascending")
-		}
-		prev = addr
-		g.defAddrs[i] = addr
-		g.defRefs[i] = DefRef{Loc: loc, Ts: int64(dts), Live: live}
 	}
 
 	nLabels, data, err := snapUvarint(data, "label count")
@@ -386,6 +363,9 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 			if nDyn, data, err = snapUvarint(data, "dyn edge count"); err != nil {
 				return nil, err
 			}
+			if nDyn > uint64(len(data))/minDynEdgeBytes {
+				return nil, labelblock.Corrupt(labelblock.ClassTruncated, "opt: dyn edge count %d exceeds remaining data", nDyn)
+			}
 			if nDyn > 0 {
 				us.Dyn = make([]DynEdge, nDyn)
 				for i := range us.Dyn {
@@ -414,6 +394,9 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 			var nDyn uint64
 			if nDyn, data, err = snapUvarint(data, "cd dyn edge count"); err != nil {
 				return nil, err
+			}
+			if nDyn > uint64(len(data))/minDynEdgeBytes {
+				return nil, labelblock.Corrupt(labelblock.ClassTruncated, "opt: cd dyn edge count %d exceeds remaining data", nDyn)
 			}
 			if nDyn > 0 {
 				cd.Dyn = make([]CDDynEdge, nDyn)
@@ -453,6 +436,10 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	}
 	return g, nil
 }
+
+// minDynEdgeBytes is the smallest encoded dynamic edge: a target
+// location and a label id, one-byte varints each.
+const minDynEdgeBytes = 3
 
 // decodeLoc reads and range-checks an InstLoc.
 func (g *Graph) decodeLoc(data []byte, what string) (InstLoc, []byte, error) {

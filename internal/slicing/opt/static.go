@@ -25,7 +25,6 @@ func NewGraph(p *ir.Program, cfg Config, paths []*profile.PathProfile, cuts *pro
 		pathByKey:     map[string]NodeID{},
 		clusterLabels: map[clusterNodeKey]*Labels{},
 		clusterIsCD:   map[int32]bool{},
-		lastDef:       map[int64]DefRef{},
 		copies:        map[ir.StmtID][]InstLoc{},
 		occCopies:     map[ir.BlockID][]occLoc{},
 		shortcuts:     map[InstLoc]*closure{},

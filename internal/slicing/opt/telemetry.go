@@ -55,6 +55,10 @@ func (g *Graph) Elim() Elim { return g.elim }
 func (g *Graph) SetTelemetry(reg *telemetry.Registry) {
 	g.tel = reg
 	g.cShortcut = reg.Counter("opt.slice.shortcut_hits")
+	if len(g.lastDef) > 0 {
+		// A snapshot-loaded graph holds its table already.
+		reg.Gauge("opt.graph.bytes.lastdef").Set(g.LastDefBytes())
+	}
 }
 
 // flushTelemetry publishes the build-time tallies, once.
@@ -97,4 +101,5 @@ func (g *Graph) flushTelemetry() {
 	reg.Gauge("opt.graph.bytes.labels").Set(g.LabelBytes())
 	reg.Gauge("opt.graph.bytes.edges").Set(g.EdgeBytes())
 	reg.Gauge("opt.graph.bytes.resident").Set(g.ResidentBytes())
+	reg.Gauge("opt.graph.bytes.lastdef").Set(g.LastDefBytes())
 }

@@ -47,7 +47,7 @@ var Magic = [4]byte{'D', 'Y', 'S', 'G'}
 // Version is the snapshot format version; it participates in the cache
 // key, so a format bump makes every old cache entry a clean miss rather
 // than a decode error.
-const Version byte = 1
+const Version byte = 2
 
 // Section ids.
 const (
@@ -280,6 +280,10 @@ func decodeInt64s(data []byte, what string) ([]int64, []byte, error) {
 	}
 	if n > 1<<30 {
 		return nil, nil, labelblock.Corrupt(labelblock.ClassBadBlock, "snapshot: implausible %s length %d", what, n)
+	}
+	if n > uint64(len(data)) {
+		// Every value costs at least one byte; reject before allocating.
+		return nil, nil, labelblock.Corrupt(labelblock.ClassTruncated, "snapshot: %s length %d exceeds remaining data", what, n)
 	}
 	if n == 0 {
 		return nil, data, nil

@@ -40,7 +40,7 @@ func main() {
 
 // buildSnapshot records tinySrc with the snapshot cache enabled and
 // returns the single .dysnap file it produced.
-func buildSnapshot(t *testing.T) (path string, raw []byte) {
+func buildSnapshot(t testing.TB) (path string, raw []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	p, err := slicer.Compile(tinySrc)
@@ -93,7 +93,7 @@ func keyOf(t *testing.T, raw []byte) snapshot.Key {
 
 // section returns the payload byte range of a section id via the
 // directory (offset, length within raw).
-func section(t *testing.T, raw []byte, id uint32) []byte {
+func section(t testing.TB, raw []byte, id uint32) []byte {
 	t.Helper()
 	n := binary.LittleEndian.Uint32(raw[5:9])
 	for i := 0; i < int(n); i++ {

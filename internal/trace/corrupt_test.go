@@ -2,10 +2,14 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"dynslice/internal/interp"
+	"dynslice/internal/ir"
+	"dynslice/internal/slicing/fp"
+	"dynslice/internal/slicing/opt"
 	"dynslice/internal/telemetry"
 	"dynslice/internal/trace"
 )
@@ -149,6 +153,76 @@ func TestReaderErrorCounters(t *testing.T) {
 		}
 		if count(reg, "trace.read.err.truncated") != 1 {
 			t.Fatalf("truncation at %d not counted (err=%v)", cut, err)
+		}
+	}
+}
+
+// TestDecoderBoundsAddresses: a whole-stream decoder tracks the frame
+// rule's watermark and rejects, as bad_record, any use, def or region
+// address outside [GlobalBase, watermark). Address-indexed consumers —
+// the FP and OPT builders behind a deferred build — rely on it: a 6-byte
+// region length used to make them loop over 2^40 addresses.
+func TestDecoderBoundsAddresses(t *testing.T) {
+	p := prog(t, `
+	func main() {
+		var a[4];
+		var x = 1;
+		print(x + a[0]);
+	}`)
+	entry := p.Main.Entry()
+	if len(entry.Stmts) < 3 || entry.Stmts[0].Op != ir.OpDeclArr || entry.Stmts[1].Op != ir.OpAssign {
+		t.Fatalf("unexpected entry block %v", entry.Stmts)
+	}
+	base, wm := p.MainFrame()
+	aAddr := base + p.Obj(entry.Stmts[0].Obj).Off
+	xAddr := wm - 1 // any in-frame address will do for the def
+
+	// stream encodes main's entry block: the region, x's def and print's
+	// two uses, then whatever the remaining statements need.
+	stream := func(regStart, regLen, def, use uint64) []byte {
+		b := append([]byte(nil), trace.Magic[:]...)
+		b = append(b, trace.Version)
+		b = binary.AppendUvarint(b, uint64(entry.ID)+1)
+		b = binary.AppendUvarint(b, regStart)
+		b = binary.AppendUvarint(b, regLen)
+		b = binary.AppendUvarint(b, def)
+		b = binary.AppendUvarint(b, use)
+		b = binary.AppendUvarint(b, uint64(aAddr))
+		return b
+	}
+	okStart, okLen, okAddr := uint64(aAddr), uint64(4), uint64(xAddr)
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"region length 2^40", stream(okStart, 1<<40, okAddr, okAddr)},
+		{"region past watermark", stream(uint64(wm)-2, 4, okAddr, okAddr)},
+		{"region below GlobalBase", stream(3, 4, okAddr, okAddr)},
+		{"def 2^40", stream(okStart, okLen, 1<<40, okAddr)},
+		{"def at watermark", stream(okStart, okLen, uint64(wm), okAddr)},
+		{"use below GlobalBase", stream(okStart, okLen, okAddr, uint64(ir.GlobalBase)-1)},
+	}
+	for _, c := range cases {
+		reg := telemetry.New()
+		sinks := trace.Multi{&recorder{}, fp.NewGraph(p), opt.NewGraph(p, opt.Full(), nil, nil)}
+		err := trace.ReplayWith(p, bytes.NewReader(c.data), sinks, trace.NewMetrics(reg))
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Fatalf("%s: err = %v, want an out-of-range address error", c.name, err)
+		}
+		if got := reg.Counter("trace.read.err.bad_record").Value(); got != 1 {
+			t.Fatalf("%s: bad_record = %d, want 1", c.name, got)
+		}
+	}
+
+	// The in-range prefix decodes: the failure above is the address, not
+	// the hand encoding.
+	d := trace.NewDecoder(p, bytes.NewReader(stream(okStart, okLen, okAddr, okAddr)), 0)
+	if err := d.ReadHeader(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := d.Next(); err != nil {
+			t.Fatalf("event %d of the in-range stream: %v", i, err)
 		}
 	}
 }

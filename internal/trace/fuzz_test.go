@@ -6,17 +6,21 @@ import (
 
 	"dynslice/internal/compile"
 	"dynslice/internal/interp"
+	"dynslice/internal/slicing/fp"
+	"dynslice/internal/slicing/opt"
 	"dynslice/internal/telemetry"
 	"dynslice/internal/trace"
 )
 
 // FuzzTraceReader feeds arbitrary byte streams — seeded from valid
-// encodings and hand-damaged variants of them — to the trace decoder.
+// encodings and hand-damaged variants of them — to the trace decoder,
+// replaying each into an FP and an OPT builder alongside the recorder.
 // The contract (see corrupt_test.go for the targeted cases): every
 // stream either replays cleanly through the explicit End marker or
-// returns a classified error. Never a panic, and never silent
-// truncation — a nil error means the sink saw exactly one End event,
-// as its final event.
+// returns a classified error. Never a panic — in the decoder or in the
+// address-indexed builders it feeds — and never silent truncation — a
+// nil error means the sink saw exactly one End event, as its final
+// event.
 func FuzzTraceReader(f *testing.F) {
 	p, err := compile.Source(srcLoop)
 	if err != nil {
@@ -48,7 +52,8 @@ func FuzzTraceReader(f *testing.F) {
 		reg := telemetry.New()
 		m := trace.NewMetrics(reg)
 		rec := &recorder{}
-		err := trace.ReplayWith(p, bytes.NewReader(data), rec, m)
+		sinks := trace.Multi{rec, fp.NewGraph(p), opt.NewGraph(p, opt.Full(), nil, nil)}
+		err := trace.ReplayWith(p, bytes.NewReader(data), sinks, m)
 
 		ends := 0
 		for _, ev := range rec.events {

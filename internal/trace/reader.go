@@ -45,6 +45,11 @@ type Decoder struct {
 	defs    []int64
 	met     *Metrics
 	done    bool
+	// wm is the address watermark under ir's frame rule, tracked from
+	// the header on: every use, def and region address must lie in
+	// [ir.GlobalBase, wm). Zero for mid-file decoders, which start
+	// without the frame history and leave addresses unchecked.
+	wm int64
 }
 
 // NewDecoder returns a decoder reading from r. startOrd is the ordinal of
@@ -79,7 +84,22 @@ func (d *Decoder) ReadHeader() error {
 		}
 		return fmt.Errorf("trace: unsupported format version %d (want %d)", hdr[4], Version)
 	}
+	_, d.wm = d.p.MainFrame()
 	return nil
+}
+
+// inSpace reports whether the n addresses from lo lie in the frame
+// rule's address space, so a corrupt stream cannot steer a consumer's
+// address-indexed tables. Mid-file decoders check nothing.
+func (d *Decoder) inSpace(lo, n uint64) bool {
+	return d.wm == 0 || (lo >= uint64(ir.GlobalBase) && lo <= uint64(d.wm) && n <= uint64(d.wm)-lo)
+}
+
+func (d *Decoder) badAddr(what string, a uint64) error {
+	if d.met != nil {
+		d.met.ErrBadRecord.Inc()
+	}
+	return fmt.Errorf("trace: %s address %d outside [%d, %d)", what, a, ir.GlobalBase, d.wm)
 }
 
 // countErr classifies a decode error into the metrics bundle. EOF-family
@@ -121,6 +141,9 @@ func (d *Decoder) Next() (Event, error) {
 				d.countErr(err)
 				return Event{}, fmt.Errorf("trace: region record: %w", err)
 			}
+			if !d.inSpace(start, length) {
+				return Event{}, d.badAddr("region", start)
+			}
 			if d.met != nil {
 				d.met.StmtsRead.Inc()
 			}
@@ -133,7 +156,15 @@ func (d *Decoder) Next() (Event, error) {
 				d.countErr(err)
 				return Event{}, fmt.Errorf("trace: use addr: %w", err)
 			}
+			if !d.inSpace(a, 1) {
+				return Event{}, d.badAddr("use", a)
+			}
 			d.uses = append(d.uses, int64(a))
+		}
+		if s.Op == ir.OpCall && d.wm != 0 {
+			// The call allocates the callee's frame, which its parameter
+			// defs write.
+			_, d.wm = s.Callee.FrameAt(d.wm)
 		}
 		d.defs = d.defs[:0]
 		for i := 0; i < s.NumDefs; i++ {
@@ -141,6 +172,9 @@ func (d *Decoder) Next() (Event, error) {
 			if err != nil {
 				d.countErr(err)
 				return Event{}, fmt.Errorf("trace: def addr: %w", err)
+			}
+			if !d.inSpace(a, 1) {
+				return Event{}, d.badAddr("def", a)
 			}
 			d.defs = append(d.defs, int64(a))
 		}
