@@ -33,15 +33,17 @@ test-race:
 fuzz-smoke:
 	$(GO) run ./cmd/fuzzgen -seed 1 -n 500 -witness
 
-# Coverage-guided native fuzzing, a short burst per target. Unbounded
-# sessions: go test -fuzz FuzzX -fuzztime 10m <pkg>.
+# Coverage-guided native fuzzing, a short burst per target. Each -fuzz
+# pattern is anchored so that it selects exactly one target. Unbounded
+# sessions: go test -fuzz '^FuzzX$$' -fuzztime 10m <pkg>.
 fuzz-native:
-	$(GO) test -fuzz FuzzSlicerEquivalence -fuzztime 10s ./internal/fuzzgen/
-	$(GO) test -fuzz FuzzGeneratedEquivalence -fuzztime 10s ./internal/fuzzgen/
-	$(GO) test -fuzz FuzzTraceReader -fuzztime 10s ./internal/trace/
-	$(GO) test -fuzz FuzzDecodeSegments -fuzztime 10s ./internal/trace/
-	$(GO) test -fuzz FuzzLabelsFindRoundTrip -fuzztime 10s ./internal/slicing/opt/
-	$(GO) test -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/slicing/snapshot/
+	$(GO) test -fuzz '^FuzzSlicerEquivalence$$' -fuzztime 10s ./internal/fuzzgen/
+	$(GO) test -fuzz '^FuzzGeneratedEquivalence$$' -fuzztime 10s ./internal/fuzzgen/
+	$(GO) test -fuzz '^FuzzTraceReader$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -fuzz '^FuzzDecodeSegments$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -fuzz '^FuzzLabelsFindRoundTrip$$' -fuzztime 10s ./internal/slicing/opt/
+	$(GO) test -fuzz '^FuzzSnapshotLoad$$' -fuzztime 10s ./internal/slicing/snapshot/
+	$(GO) test -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/slicing/snapshot/
 
 # Guard: a disabled telemetry registry may cost at most 5% over none.
 overhead:

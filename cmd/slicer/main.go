@@ -52,10 +52,11 @@
 // resuming the interpreter from checkpoints) and forward (precomputed
 // forward sets). -plan overrides -algo when both are given.
 //
-// -snapshot turns on the persistent graph cache: the FP and OPT graphs
-// are loaded from a content-addressed on-disk image when a matching one
-// exists (skipping program execution entirely — LP is unavailable in
-// that case) and saved after a fresh build. -snapshot-dir overrides the
+// -snapshot turns on the persistent graph cache: the OPT graph is loaded
+// from a content-addressed on-disk image when a matching one exists
+// (skipping program execution entirely — LP is unavailable in that case,
+// and FP is built by re-running the program if asked for) and saved
+// after a fresh build. -snapshot-dir overrides the
 // cache directory. See docs/PERFORMANCE.md "Snapshot format".
 //
 // -pprof serves an explicit-mux HTTP server for the life of the process
@@ -116,7 +117,7 @@ func main() {
 	qtraceOut := flag.String("qtrace", "", "per-query causal tracing: stream retained (tail-sampled) span trees to this JSONL file")
 	qtraceSlowMS := flag.Int("qtrace-slow", 25, "qtrace: retain traces of queries slower than this many milliseconds (0 disables the slow trigger)")
 	qtraceSample := flag.Int("qtrace-sample", 128, "qtrace: additionally retain a deterministic 1-in-N sample of all queries (0 disables sampling)")
-	useSnap := flag.Bool("snapshot", false, "use the persistent graph cache: load the FP/OPT graphs from a content-addressed snapshot when one matches (skipping execution entirely), and save them after a fresh build")
+	useSnap := flag.Bool("snapshot", false, "use the persistent graph cache: load the OPT graph from a content-addressed snapshot when one matches (skipping execution entirely), and save it after a fresh build")
 	snapDir := flag.String("snapshot-dir", "", "snapshot cache directory (default: the per-user cache dir)")
 	planMode := flag.String("plan", "", "query dispatch: auto (cost-based planner picks the backend per query) or a pinned backend: fp, lp, opt, reexec, forward (overrides -algo)")
 	flag.Parse()

@@ -154,8 +154,10 @@ func TestRecordTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	if _, err := rec.OPT().SliceVar("total"); err != nil {
-		t.Fatal(err)
+	for _, s := range []*slicer.Slicer{rec.OPT(), rec.FP()} {
+		if _, err := s.SliceVar("total"); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -181,12 +183,13 @@ func TestRecordTimeline(t *testing.T) {
 	if cats["span"] == 0 {
 		t.Error("no span events in the timeline")
 	}
-	// The default Record path is pipelined: both Async builder workers
-	// must have contributed per-batch activity on their own rows.
+	// The default Record path is pipelined: the OPT builder worker must
+	// have contributed per-batch activity on its own row. FP is built by
+	// a re-run on its first query, under its own span.
 	if cats["pipeline"] == 0 {
 		t.Error("no pipeline worker events in the timeline")
 	}
-	for _, want := range []string{"fp-build", "opt-build"} {
+	for _, want := range []string{"opt-build", "fp-deferred-build"} {
 		if !names[want] {
 			t.Errorf("missing pipeline row %q (have %v)", want, names)
 		}

@@ -178,10 +178,12 @@ func (m *machine) enterMain() {
 	m.frames = append(m.frames, frame{fn: m.p.Main, base: base})
 }
 
+// grow extends memory to the new watermark n. Frames are never reused
+// and every store below is bounds-checked against the watermark, so no
+// word above it is ever written: the zero tail ir.GrowTable relies on
+// holds, for a machine resumed from a checkpoint's copy too.
 func (m *machine) grow(n int64) {
-	for int64(len(m.mem)) < n {
-		m.mem = append(m.mem, make([]int64, n-int64(len(m.mem)))...)
-	}
+	m.mem = ir.GrowTable(m.mem, int(n))
 }
 
 func (m *machine) cur() *frame { return &m.frames[len(m.frames)-1] }

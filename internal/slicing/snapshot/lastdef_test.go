@@ -15,6 +15,7 @@ import (
 	"dynslice/internal/slicing/fp"
 	"dynslice/internal/slicing/labelblock"
 	"dynslice/internal/slicing/opt"
+	"dynslice/internal/slicing/snapshot"
 	"dynslice/internal/telemetry/querylog"
 	"dynslice/internal/trace"
 )
@@ -201,7 +202,7 @@ func lastDefOffset(t testing.TB, sec []byte, isOPT bool) int {
 // claims 2^40 slots fails as truncated before allocating for them — the
 // loader checks the count against the bytes left.
 func TestLastDefSectionBoundedAlloc(t *testing.T) {
-	_, raw := buildSnapshot(t)
+	_, raw := buildFPSnapshot(t, snapshot.Key{})
 	prog, err := slicer.Compile(tinySrc)
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +245,8 @@ func TestLastDefSectionBoundedAlloc(t *testing.T) {
 }
 
 // FuzzSnapshotLoad feeds mutated FP and OPT section payloads, seeded from
-// the golden tiny.dysnap's sections, to fp.LoadSnapshot and
-// opt.LoadSnapshot. Every input either fails with a classified
+// the sections of the golden tiny.dysnap and of a tinySrc image that
+// carries FP, to fp.LoadSnapshot and opt.LoadSnapshot. Every input either fails with a classified
 // *labelblock.CorruptError or loads into a graph whose last-definition
 // lookups around the whole table answer without panicking.
 func FuzzSnapshotLoad(f *testing.F) {
@@ -258,7 +259,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	p := prog.IR()
-	fpSec, optSec := section(f, raw, 3), section(f, raw, 4)
+	_, fpRaw := buildFPSnapshot(f, snapshot.Key{})
+	fpSec, optSec := section(f, fpRaw, 3), section(f, raw, 4)
 	f.Add(false, fpSec)
 	f.Add(true, optSec)
 	f.Add(false, fpSec[:len(fpSec)/2])

@@ -1,8 +1,9 @@
 // Package snapshot implements the persistent dyDG image: a relocatable,
-// checksummed, versioned on-disk file holding a recording's FP and OPT
-// graphs — columnar edge arrays, sealed label blocks, the static tables
-// their loaders rebuild from, and the trace's segment summaries — laid
-// out for a single sequential read.
+// checksummed, versioned on-disk file holding a recording's OPT graph and,
+// optionally, its FP graph — columnar edge arrays, sealed label blocks,
+// the static tables their loaders rebuild from, and the trace's segment
+// summaries — laid out for a single sequential read. The façade's cache
+// writes OPT alone; FP is rebuilt on demand by re-running the program.
 //
 // Loading is one os.ReadFile plus section decoding: sealed label blocks
 // land directly in labelblock form with payloads aliasing the file
@@ -18,7 +19,7 @@
 //
 //	magic "DYSG" | version byte | uint32 section count
 //	per section: uint32 id | uint64 offset | uint64 length | uint32 CRC-32
-//	section payloads (meta, segments, FP image, OPT image)
+//	section payloads (meta, segments, optional FP image, OPT image)
 //
 // Offsets are absolute file offsets; each section is independently
 // checksummed (IEEE CRC-32), so a bit flip anywhere fails classified
@@ -47,7 +48,7 @@ var Magic = [4]byte{'D', 'Y', 'S', 'G'}
 // Version is the snapshot format version; it participates in the cache
 // key, so a format bump makes every old cache entry a clean miss rather
 // than a decode error.
-const Version byte = 2
+const Version byte = 3
 
 // Section ids.
 const (
@@ -79,16 +80,16 @@ func Classify(err error) string {
 }
 
 // Image is the deserialized content of a snapshot: everything a
-// Recording needs to answer FP and OPT queries without re-running the
-// program. LP is the exception — it reads the trace file itself, which a
-// snapshot deliberately does not carry.
+// Recording needs to answer OPT queries without re-running the program.
+// LP is the exception — it reads the trace file itself, which a snapshot
+// deliberately does not carry.
 type Image struct {
 	Output   []int64
 	Steps    int64
 	Return   int64
 	Criteria []int64
 	Segs     []*trace.Segment
-	FP       *fp.Graph
+	FP       *fp.Graph // nil when the image carries no FP section
 	OPT      *opt.Graph
 
 	// buf pins the file buffer the graphs' sealed blocks alias.
@@ -98,12 +99,12 @@ type Image struct {
 const dirEntrySize = 4 + 8 + 8 + 4 // id, offset, length, crc
 
 // Write serializes img under key to path, atomically (temp file +
-// rename, via the shared telemetry helper). The FP and OPT graphs must
-// be finalized/frozen. Returns the file size in bytes.
+// rename, via the shared telemetry helper). The graphs must be
+// finalized/frozen; the FP section is written only when img.FP is set.
+// Returns the file size in bytes.
 func Write(path string, key Key, img *Image) (int64, error) {
 	meta := appendMeta(nil, key, img)
 	segs := trace.AppendSegments(nil, img.Segs)
-	fpSec := img.FP.AppendSnapshot(nil)
 	optSec, err := img.OPT.AppendSnapshot(nil)
 	if err != nil {
 		return 0, err
@@ -112,9 +113,11 @@ func Write(path string, key Key, img *Image) (int64, error) {
 		id      uint32
 		payload []byte
 	}
-	sections := []section{
-		{secMeta, meta}, {secSegs, segs}, {secFP, fpSec}, {secOPT, optSec},
+	sections := []section{{secMeta, meta}, {secSegs, segs}}
+	if img.FP != nil {
+		sections = append(sections, section{secFP, img.FP.AppendSnapshot(nil)})
 	}
+	sections = append(sections, section{secOPT, optSec})
 	header := len(Magic) + 1 + 4 + len(sections)*dirEntrySize
 	var total int64
 	err = telemetry.WriteFileAtomic(path, func(w io.Writer) error {
@@ -147,17 +150,24 @@ func Write(path string, key Key, img *Image) (int64, error) {
 	return total, nil
 }
 
-// Read loads a snapshot in one sequential read and reconstructs its
-// graphs against p. The file's key must equal the requested key (the
-// content-addressed cache makes that a tautology; explicit -snapshot
-// file paths are where it earns its keep). Every failure is classified
-// (Classify) and never a panic: corrupt files are for the caller to fall
-// back from, not to crash on.
+// Read loads a snapshot in one sequential read and decodes it (Decode).
 func Read(path string, p *ir.Program, key Key) (*Image, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	return Decode(buf, p, key)
+}
+
+// Decode reconstructs a snapshot's graphs against p from the file bytes
+// in buf, which the graphs' sealed blocks go on aliasing. The file's key
+// must equal the requested key (the content-addressed cache makes that a
+// tautology; explicit -snapshot file paths are where it earns its keep).
+// FP is loaded when the file has an FP section and left nil otherwise.
+// Every failure is a classified *labelblock.CorruptError and never a
+// panic: corrupt files are for the caller to fall back from, not to crash
+// on.
+func Decode(buf []byte, p *ir.Program, key Key) (*Image, error) {
 	header := len(Magic) + 1 + 4
 	if len(buf) < header {
 		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "snapshot: %d-byte file", len(buf))
@@ -195,7 +205,7 @@ func Read(path string, p *ir.Program, key Key) (*Image, error) {
 		}
 		payload[id] = data
 	}
-	for _, id := range []uint32{secMeta, secSegs, secFP, secOPT} {
+	for _, id := range []uint32{secMeta, secSegs, secOPT} {
 		if _, ok := payload[id]; !ok {
 			return nil, labelblock.Corrupt(ClassBadSection, "snapshot: section %d missing", id)
 		}
@@ -213,8 +223,10 @@ func Read(path string, p *ir.Program, key Key) (*Image, error) {
 		return nil, labelblock.Corrupt(ClassBadSection, "snapshot: %d trailing bytes in segment section", len(rest))
 	}
 	img.Segs = segs
-	if img.FP, err = fp.LoadSnapshot(p, payload[secFP]); err != nil {
-		return nil, err
+	if sec, ok := payload[secFP]; ok {
+		if img.FP, err = fp.LoadSnapshot(p, sec); err != nil {
+			return nil, err
+		}
 	}
 	if img.OPT, err = opt.LoadSnapshot(p, payload[secOPT]); err != nil {
 		return nil, err

@@ -3,14 +3,22 @@ package snapshot_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	slicer "dynslice"
+	"dynslice/internal/interp"
+	"dynslice/internal/slicing"
+	"dynslice/internal/slicing/fp"
 	"dynslice/internal/slicing/labelblock"
+	"dynslice/internal/slicing/opt"
 	"dynslice/internal/slicing/snapshot"
+	"dynslice/internal/telemetry/querylog"
+	"dynslice/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/tiny.dysnap from the current format")
@@ -38,8 +46,12 @@ func main() {
 	print(out);
 }`
 
+// tinyInput is the golden recording's input.
+var tinyInput = []int64{7, 3, 5}
+
 // buildSnapshot records tinySrc with the snapshot cache enabled and
-// returns the single .dysnap file it produced.
+// returns the single .dysnap file it produced: the façade's image, which
+// carries OPT and no FP section.
 func buildSnapshot(t testing.TB) (path string, raw []byte) {
 	t.Helper()
 	dir := t.TempDir()
@@ -48,7 +60,7 @@ func buildSnapshot(t testing.TB) (path string, raw []byte) {
 		t.Fatal(err)
 	}
 	rec, err := p.Record(slicer.RunOptions{
-		Input:    []int64{7, 3, 5},
+		Input:    tinyInput,
 		Snapshot: slicer.SnapshotOptions{Dir: dir, Write: true},
 	})
 	if err != nil {
@@ -66,6 +78,45 @@ func buildSnapshot(t testing.TB) (path string, raw []byte) {
 	return files[0], raw
 }
 
+// tinyRun runs tinySrc once into fresh FP and OPT builders and a trace
+// writer: the build path a decoded image must agree with.
+func tinyRun(t testing.TB) (*slicer.Program, *interp.Result, *snapshot.Image) {
+	t.Helper()
+	prog, err := slicer.Compile(tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prog.IR()
+	fpG := fp.NewGraph(p)
+	optG := opt.NewGraph(p, opt.Full(), nil, nil)
+	tw := trace.NewWriter(p, io.Discard, 4)
+	res, err := interp.Run(p, interp.Options{Input: tinyInput, Sink: trace.Multi{tw, fpG, optG}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, res, &snapshot.Image{
+		Output: res.Output, Steps: res.Steps, Return: res.ReturnValue,
+		Segs: tw.Segments(), FP: fpG, OPT: optG,
+	}
+}
+
+// buildFPSnapshot writes a tinySrc image under key that carries an FP
+// section, as the benchmark harnesses write them (the façade's cache
+// never does), and returns its path and bytes.
+func buildFPSnapshot(t testing.TB, key snapshot.Key) (path string, raw []byte) {
+	t.Helper()
+	_, _, img := tinyRun(t)
+	path = filepath.Join(t.TempDir(), "fp.dysnap")
+	if _, err := snapshot.Write(path, key, img); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, raw
+}
+
 // readBack loads a snapshot file through the real Read path with the
 // given key (recovered from the intact file's meta section — the façade
 // derives it from hashes; the format test only needs Read to accept its
@@ -81,7 +132,7 @@ func readBack(t *testing.T, path string, key snapshot.Key) (*snapshot.Image, err
 
 // keyOf parses the documented container layout to pull the key out of
 // the meta section.
-func keyOf(t *testing.T, raw []byte) snapshot.Key {
+func keyOf(t testing.TB, raw []byte) snapshot.Key {
 	t.Helper()
 	meta := section(t, raw, 1)
 	var key snapshot.Key
@@ -95,17 +146,24 @@ func keyOf(t *testing.T, raw []byte) snapshot.Key {
 // directory (offset, length within raw).
 func section(t testing.TB, raw []byte, id uint32) []byte {
 	t.Helper()
+	sec, ok := findSection(raw, id)
+	if !ok {
+		t.Fatalf("section %d not found", id)
+	}
+	return sec
+}
+
+func findSection(raw []byte, id uint32) ([]byte, bool) {
 	n := binary.LittleEndian.Uint32(raw[5:9])
 	for i := 0; i < int(n); i++ {
 		e := raw[9+i*24:]
 		if binary.LittleEndian.Uint32(e[0:4]) == id {
 			off := binary.LittleEndian.Uint64(e[4:12])
 			ln := binary.LittleEndian.Uint64(e[12:20])
-			return raw[off : off+ln]
+			return raw[off : off+ln], true
 		}
 	}
-	t.Fatalf("section %d not found", id)
-	return nil
+	return nil, false
 }
 
 // TestDeterministicBytes: identical runs serialize to identical bytes —
@@ -121,7 +179,8 @@ func TestDeterministicBytes(t *testing.T) {
 // TestGoldenSnapshot guards the on-disk format: the checked-in
 // testdata/tiny.dysnap must stay byte-identical to what the current code
 // writes (run with -update after an intentional format change — which
-// must also bump snapshot.Version), and must still load and answer.
+// must also bump snapshot.Version), and must still load and answer. The
+// façade writes OPT alone: the golden file has no FP section.
 func TestGoldenSnapshot(t *testing.T) {
 	golden := filepath.Join("testdata", "tiny.dysnap")
 	_, raw := buildSnapshot(t)
@@ -145,16 +204,20 @@ func TestGoldenSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden snapshot does not load: %v", err)
 	}
-	if img.FP == nil || img.OPT == nil || len(img.Output) == 0 {
+	if img.OPT == nil || len(img.Output) == 0 {
 		t.Fatal("golden snapshot loaded incomplete")
+	}
+	if _, ok := findSection(want, 3); ok || img.FP != nil {
+		t.Fatal("the façade's snapshot carries an FP section")
 	}
 }
 
-// TestSectionCorruption flips one byte inside each section's payload and
-// expects a classified checksum failure; structural damage to the header
-// and directory classifies too. Nothing may panic or load silently.
+// TestSectionCorruption flips one byte inside each section's payload of
+// an image that carries all four, and expects a classified checksum
+// failure; structural damage to the header and directory classifies too.
+// Nothing may panic or load silently.
 func TestSectionCorruption(t *testing.T) {
-	path, raw := buildSnapshot(t)
+	path, raw := buildFPSnapshot(t, snapshot.Key{Program: [32]byte{1}})
 	key := keyOf(t, raw) // the key comes from intact bytes, mutations notwithstanding
 	load := func(t *testing.T, mutated []byte) error {
 		t.Helper()
@@ -260,4 +323,71 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if snapshot.HashConfig("a") == snapshot.HashConfig("b") {
 		t.Fatal("config digest ignores the fingerprint")
 	}
+}
+
+// FuzzSnapshotRead feeds whole .dysnap byte strings — header, directory,
+// meta, segments, the optional FP section and OPT — to snapshot.Decode,
+// seeded with the golden tiny.dysnap (no FP section) and a tinySrc image
+// that carries FP. Every input either fails with a classified
+// *labelblock.CorruptError or decodes into graphs that answer every
+// address of the golden run exactly as graphs built from that run do.
+func FuzzSnapshotRead(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "tiny.dysnap"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := keyOf(f, golden)
+	_, withFP := buildFPSnapshot(f, key)
+	f.Add(golden)
+	f.Add(withFP)
+	f.Add(golden[:len(golden)/2])
+
+	prog, res, built := tinyRun(f)
+	p := prog.IR()
+	type answer struct {
+		slice *slicing.Slice
+		class string
+	}
+	ask := func(g slicing.Slicer, a int64) answer {
+		sl, _, err := g.Slice(slicing.AddrCriterion(a))
+		return answer{sl, querylog.Classify(err)}
+	}
+	want := make([]answer, res.Watermark+2)
+	answered := 0
+	for a := range want {
+		want[a] = ask(built.FP, int64(a))
+		if want[a].slice != nil {
+			answered++
+		}
+		if o := ask(built.OPT, int64(a)); o.class != want[a].class || (o.slice != nil && !o.slice.Equal(want[a].slice)) {
+			f.Fatalf("address %d: built OPT and FP disagree", a)
+		}
+	}
+	if answered == 0 {
+		f.Fatal("no address of the golden run has a slice")
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		img, err := snapshot.Decode(data, p, key)
+		if err != nil {
+			var ce *labelblock.CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("unclassified error %T: %v", err, err)
+			}
+			return
+		}
+		graphs := map[string]slicing.Slicer{"OPT": img.OPT}
+		if img.FP != nil {
+			graphs["FP"] = img.FP
+		}
+		for name, g := range graphs {
+			for a := range want {
+				got := ask(g, int64(a))
+				if got.class != want[a].class || (got.slice != nil && !got.slice.Equal(want[a].slice)) {
+					t.Fatalf("decoded %s answers address %d with (%v, %q), the build path with (%v, %q)",
+						name, a, got.slice, got.class, want[a].slice, want[a].class)
+				}
+			}
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package slicer_test
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,10 +43,11 @@ func main() {
 }`
 
 // pipeline runs the full instrumented path: record (profile + traced
-// interpretation + FP/OPT graph builds) and a slice per algorithm —
-// one direct and one through the QueryEngine, so the measured region
+// interpretation + OPT graph build) and a slice per algorithm — one
+// direct and one through the QueryEngine, so the measured region
 // includes the query audit hooks (querylog/stats nil checks) on their
-// disabled path. Every slice routes through the observed traversal with
+// disabled path. The first FP query also pays FP's lazy build, a re-run
+// of the program. Every slice routes through the observed traversal with
 // a nil explain.Recorder, so the ≤5% guard below also covers the
 // provenance hooks' disabled path.
 func pipeline(tb testing.TB, p *slicer.Program, reg *telemetry.Registry) {
@@ -128,33 +131,41 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	}
 }
 
-// measure interleaves rounds of the two configurations and returns each
-// one's best round. Interleaving cancels slow drift (thermal, GC pacing);
-// the minimum (not mean) filters scheduler noise, which only ever slows a
-// round down.
-func measure(tb testing.TB, p *slicer.Program, a, b *telemetry.Registry, rounds, iters int) (time.Duration, time.Duration) {
-	bestA := time.Duration(1<<63 - 1)
-	bestB := bestA
+// pairedRatios times rounds back-to-back pairs of pipeline runs, one per
+// configuration, and returns each round's b/a time ratio. A pair shares
+// the host's state of the moment, so load that slows both runs cancels
+// out of its ratio; the side that runs first alternates, and each run
+// starts from a fresh GC, so neither side pays the other's garbage.
+func pairedRatios(tb testing.TB, p *slicer.Program, a, b *telemetry.Registry, rounds int) []float64 {
 	timeOne := func(reg *telemetry.Registry) time.Duration {
+		runtime.GC()
 		start := time.Now()
-		for i := 0; i < iters; i++ {
-			pipeline(tb, p, reg)
-		}
+		pipeline(tb, p, reg)
 		return time.Since(start)
 	}
-	for r := 0; r < rounds; r++ {
-		if d := timeOne(a); d < bestA {
-			bestA = d
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var da, db time.Duration
+		if r%2 == 0 {
+			da = timeOne(a)
+			db = timeOne(b)
+		} else {
+			db = timeOne(b)
+			da = timeOne(a)
 		}
-		if d := timeOne(b); d < bestB {
-			bestB = d
-		}
+		ratios[r] = float64(db) / float64(da)
 	}
-	return bestA, bestB
+	return ratios
 }
 
 // TestOverhead is the CI guard for the "telemetry off must be near-free"
 // contract: a disabled registry may cost at most 5% over no registry.
+// The statistic is the median over interleaved rounds of each round's
+// disabled/off ratio. On a noisy 2-vCPU host one pipeline run varies by
+// tens of percent and a round's ratio by about ±8% (quartiles), so the
+// median takes enough rounds to sit within about 1.5% of the true ratio:
+// noisy rounds cannot move it, and a real slowdown of the disabled path
+// moves every round.
 func TestOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
@@ -170,16 +181,12 @@ func TestOverhead(t *testing.T) {
 	pipeline(t, p, nil)
 	pipeline(t, p, disabled)
 
-	const rounds, iters, limit = 7, 8, 1.05
-	for attempt := 0; ; attempt++ {
-		off, dis := measure(t, p, nil, disabled, rounds, iters)
-		ratio := float64(dis) / float64(off)
-		t.Logf("off=%v disabled=%v ratio=%.3f", off, dis, ratio)
-		if ratio <= limit {
-			return
-		}
-		if attempt == 2 {
-			t.Fatalf("disabled telemetry costs %.1f%% (limit %d%%)", (ratio-1)*100, int(limit*100-100))
-		}
+	const rounds, limit = 121, 1.05
+	ratios := pairedRatios(t, p, nil, disabled, rounds)
+	slices.Sort(ratios)
+	median := ratios[rounds/2]
+	t.Logf("disabled/off median %.3f over %d rounds [q1 %.3f, q3 %.3f]", median, rounds, ratios[rounds/4], ratios[3*rounds/4])
+	if median > limit {
+		t.Fatalf("disabled telemetry costs %.1f%% (limit %d%%)", (median-1)*100, int(limit*100-100))
 	}
 }

@@ -1,9 +1,12 @@
 package slicer
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"dynslice/internal/slicing/fp"
+	"dynslice/internal/slicing/opt"
 	"dynslice/internal/slicing/plan"
 	"dynslice/internal/slicing/reexec"
 	"dynslice/internal/telemetry/querylog"
@@ -128,14 +131,17 @@ func TestPlannedBadCriterionTerminal(t *testing.T) {
 }
 
 // TestPlannedNoBackend: with every backend gone the planned engine
-// reports unavailability instead of panicking.
+// reports unavailability instead of panicking. A graph backend is gone
+// once its lazy build has failed.
 func TestPlannedNoBackend(t *testing.T) {
 	rec, _ := ladderRecording(t)
 	addr, err := rec.p.GlobalAddr("acc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.path = ""
+	gone := errors.New("build failed")
+	rec.fpG.done.Store(&graphBuild[fp.Graph]{err: gone})
+	rec.optG.done.Store(&graphBuild[opt.Graph]{err: gone})
 	rec.lpS = nil
 	rec.reexecS = nil
 	rec.fwd = nil

@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dynslice/internal/compile"
@@ -84,7 +86,8 @@ type RunOptions struct {
 	OptConfig *opt.Config
 	// PlainLabels disables the delta-varint block compaction of dependence
 	// labels in the FP and OPT graphs (the -compact=false escape hatch;
-	// see docs/PERFORMANCE.md "Memory layout"). Slices are identical either
+	// see docs/PERFORMANCE.md "Memory layout"). It holds for FP's lazy
+	// build too, on a snapshot hit included. Slices are identical either
 	// way.
 	PlainLabels bool
 	// Telemetry receives phase spans and pipeline counters for this
@@ -116,17 +119,17 @@ type RunOptions struct {
 	// Snapshot enables the persistent graph cache: with Read set, Record
 	// first looks for an on-disk graph image content-addressed by
 	// (program, input, configuration) and, on a hit, returns a recording
-	// without executing the program at all; with Write set, a freshly
-	// built recording is saved back. See docs/PERFORMANCE.md "Snapshot
-	// format".
+	// without executing the program at all (an FP query later re-runs
+	// it); with Write set, a freshly built recording's OPT graph is saved
+	// back. See docs/PERFORMANCE.md "Snapshot format".
 	Snapshot SnapshotOptions
-	// DeferGraphs skips the FP and OPT graph construction during Record:
-	// only the trace file (and segment summaries) are produced, and the
-	// graphs are built lazily — by replaying the trace — the first time
-	// an FP or OPT query needs them. A rare-query workload answered by
+	// DeferGraphs skips the OPT graph construction during Record: only
+	// the trace file (and segment summaries) are produced, and OPT is
+	// built lazily — by re-running the program, as FP always is — the
+	// first time an OPT query needs it. A rare-query workload answered by
 	// the re-execution or LP backend then never pays graph construction
-	// at all. Ignored when Snapshot.Write is set (the snapshot needs the
-	// graphs). See docs/PLANNER.md.
+	// at all. Ignored when Snapshot.Write is set (the snapshot needs
+	// OPT). See docs/PLANNER.md.
 	DeferGraphs bool
 	// CheckpointEvery captures an interpreter checkpoint every N block
 	// executions during the instrumented run, giving the re-execution
@@ -162,7 +165,9 @@ type SnapshotOptions struct {
 }
 
 // Recording is one instrumented execution: its outputs, its on-disk trace,
-// and the dependence graphs built from it.
+// and the dependence graphs built from it. Record builds OPT (unless
+// RunOptions.DeferGraphs); FP, and a deferred OPT, are built on first use
+// by re-running the program.
 type Recording struct {
 	p       *Program
 	Output  []int64
@@ -178,8 +183,8 @@ type Recording struct {
 	source  string // "build" or "snapshot"
 
 	segs    []*trace.Segment
-	fpG     *fp.Graph
-	optG    *opt.Graph
+	fpG     lazyGraph[fp.Graph]
+	optG    lazyGraph[opt.Graph]
 	lpS     *lp.Slicer
 	reexecS *reexec.Slicer
 	fwd     *forward.Slicer
@@ -189,24 +194,18 @@ type Recording struct {
 	lastErr error
 
 	// Inputs of the instrumented run, kept so the re-execution backend
-	// (and deferred graph builds) can regenerate it.
+	// and the lazy graph builds can regenerate it.
 	input       []int64
 	maxSteps    int64
 	totalBlocks int64
 	fpPlain     bool
-
-	// Deferred graph construction (RunOptions.DeferGraphs): fpG/optG stay
-	// nil until first use; buildMu serializes the lazy builds and guards
-	// the graph fields against concurrent planner availability checks.
-	deferred      bool
-	buildMu       sync.Mutex
-	fpErr, optErr error
-	planner       *plan.Planner
+	planner     *plan.Planner
 }
 
 // Record runs the program twice — once to collect the Ball-Larus path
-// profile (as the paper does), once instrumented — building the FP and OPT
-// graphs online and writing the trace file the LP slicer reads.
+// profile (as the paper does), once instrumented — building the OPT graph
+// online and writing the trace file the LP slicer reads. FP is built on
+// its first use.
 func (p *Program) Record(o RunOptions) (*Recording, error) {
 	// The recording itself gets a causal trace (kind "record"): profile
 	// run, snapshot load, and the instrumented run with its trace write
@@ -246,7 +245,7 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 			key = snapshot.Key{
 				Program: snapshot.HashProgram(p.ir),
 				Input:   snapshot.HashInput(o.Input, o.MaxSteps),
-				Config:  snapshot.HashConfig(configFingerprint(rec.optCfg, o.PlainLabels, o.TrackCriteria)),
+				Config:  snapshot.HashConfig(configFingerprint(rec.optCfg, o.TrackCriteria)),
 			}
 		}
 	}
@@ -306,39 +305,31 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	}
 	tw := trace.NewWriter(p.ir, f, 4096)
 	tw.SetMetrics(trace.NewMetrics(o.Telemetry))
-	// DeferGraphs skips the online FP/OPT construction entirely (the
-	// graphs are replay-built on demand); a snapshot write needs them
-	// now, so it overrides the deferral.
-	rec.deferred = o.DeferGraphs && !(cache != nil && o.Snapshot.Write)
+	// DeferGraphs skips the online OPT construction (OPT is then built on
+	// demand, like FP); a snapshot write needs OPT now, so it overrides
+	// the deferral.
+	deferred := o.DeferGraphs && !(cache != nil && o.Snapshot.Write)
 	rec.fpPlain = o.PlainLabels
 	sink := trace.Multi{tw}
 	var picker *trace.CritPicker
 	if o.TrackCriteria > 0 {
 		picker = trace.NewCritPicker()
 	}
-	var asyncs []*trace.Async
-	if !rec.deferred {
-		rec.fpG = fp.NewGraph(p.ir)
-		rec.fpG.SetPlainLabels(o.PlainLabels)
-		rec.fpG.SetTelemetry(o.Telemetry)
-		rec.optG = opt.NewGraph(p.ir, rec.optCfg, rec.hot, rec.cuts)
-		rec.optG.SetTelemetry(o.Telemetry)
-		// The graph builders run as pipelined Async sinks: the
-		// interpreter batches events into pooled buffers and each builder
-		// consumes its own feed concurrently. The trace writer stays
-		// inline so trace I/O errors surface synchronously. An attached
-		// timeline (telemetry.AttachTimeline) gives each builder worker
-		// its own named row of per-batch activity.
-		tl := o.Telemetry.Timeline()
-		// Epoch-parallel block sealing rides along with the pipelined
-		// build: each builder ships filled label epochs to encode workers
-		// instead of delta-varint compressing them inline.
-		rec.fpG.SetParallelEncode(0)
-		rec.optG.SetParallelEncode(0)
-		afp := trace.NewAsync(rec.fpG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"fp-build"}})
-		aopt := trace.NewAsync(rec.optG, trace.PipelineConfig{Timeline: tl, TimelineNames: []string{"opt-build"}})
-		asyncs = []*trace.Async{afp, aopt}
-		sink = append(sink, afp, aopt)
+	var optG *opt.Graph
+	var aopt *trace.Async
+	if !deferred {
+		optG = opt.NewGraph(p.ir, rec.optCfg, rec.hot, rec.cuts)
+		optG.SetTelemetry(o.Telemetry)
+		// The OPT builder runs as a pipelined Async sink: the interpreter
+		// batches events into pooled buffers and the builder consumes them
+		// concurrently, shipping filled label epochs to encode workers
+		// instead of delta-varint compressing them inline. The trace
+		// writer stays inline so trace I/O errors surface synchronously.
+		// An attached timeline (telemetry.AttachTimeline) gives the
+		// builder worker its own named row of per-batch activity.
+		optG.SetParallelEncode(0)
+		aopt = trace.NewAsync(optG, trace.PipelineConfig{Timeline: o.Telemetry.Timeline(), TimelineNames: []string{"opt-build"}})
+		sink = append(sink, aopt)
 	}
 	if o.WithForward {
 		// The forward index builder stays inline like the picker: its
@@ -355,7 +346,7 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	// Record path leaves it off; DeferGraphs turns it on (one checkpoint
 	// per trace segment) since re-execution is then the expected backend.
 	ckEvery := o.CheckpointEvery
-	if ckEvery == 0 && rec.deferred {
+	if ckEvery == 0 && deferred {
 		ckEvery = 4096
 	}
 	if ckEvery < 0 {
@@ -373,10 +364,10 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	sp.End()
 	qsp.End()
 	if err != nil {
-		// The interpreter never delivered End; drain the async builders
-		// so their goroutines exit before we tear the recording down.
-		for _, a := range asyncs {
-			a.Close()
+		// The interpreter never delivered End; drain the async builder
+		// so its goroutine exits before we tear the recording down.
+		if aopt != nil {
+			aopt.Close()
 		}
 		f.Close()
 		return nil, err
@@ -388,6 +379,9 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 		return nil, tw.Err()
 	}
 	rec.segs = tw.Segments()
+	if optG != nil {
+		rec.optG.set(optG)
+	}
 	// Annotate the instrumented-run span with the trace I/O it produced.
 	if qt != nil {
 		qsp.Int("steps", res.Steps).Int("blocks", res.BlockExecs).Int("trace_segments", int64(len(rec.segs)))
@@ -422,17 +416,19 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	}
 	ok = true
 	if cache != nil && o.Snapshot.Write {
-		rec.writeSnapshot(cache, key)
+		rec.writeSnapshot(cache, key, optG)
 	}
 	return rec, nil
 }
 
-// configFingerprint renders every knob that shapes the built graphs (and
-// therefore the snapshot bytes) into the stable string the cache key's
-// Config digest covers. Telemetry, logging, and build parallelism are
-// deliberately absent: they do not change the graph.
-func configFingerprint(cfg opt.Config, fpPlain bool, trackCriteria int) string {
-	return fmt.Sprintf("opt=%+v|fpplain=%t|crit=%d", cfg, fpPlain, trackCriteria)
+// configFingerprint renders every knob that shapes the snapshot bytes —
+// the OPT graph and the tracked criteria — into the stable string the
+// cache key's Config digest covers. FP's label layout is absent: FP is
+// not in the image, and a hit builds it with its own Record call's
+// PlainLabels. Telemetry, logging, and build parallelism are absent too:
+// they do not change the graph.
+func configFingerprint(cfg opt.Config, trackCriteria int) string {
+	return fmt.Sprintf("opt=%+v|crit=%d", cfg, trackCriteria)
 }
 
 // loadSnapshot tries to answer Record from the cache. It returns nil on
@@ -471,16 +467,18 @@ func (p *Program) loadSnapshot(cache *snapshot.Cache, key snapshot.Key, o RunOpt
 		qtr:    o.QueryTrace,
 		source: "snapshot",
 		Output: img.Output, Steps: img.Steps, Return: img.Return, crit: img.Criteria,
-		segs: img.Segs, fpG: img.FP, optG: img.OPT,
+		segs: img.Segs,
 	}
-	rec.fpG.SetTelemetry(o.Telemetry)
-	rec.optG.SetTelemetry(o.Telemetry)
-	// A snapshot persists the graphs, not the trace — but the inputs are
-	// part of the cache key, so the re-execution backend still works: it
-	// regenerates any segment from scratch (no checkpoints survive the
-	// snapshot round-trip).
+	img.OPT.SetTelemetry(o.Telemetry)
+	rec.optG.set(img.OPT)
+	// A snapshot persists OPT, not the trace — but the inputs are part of
+	// the cache key, so the program can be re-run: the re-execution
+	// backend regenerates any segment from scratch (no checkpoints
+	// survive the snapshot round-trip), and FP is built by a re-run on
+	// first use.
 	rec.input = o.Input
 	rec.maxSteps = o.MaxSteps
+	rec.fpPlain = o.PlainLabels
 	if n := len(img.Segs); n > 0 {
 		rec.totalBlocks = img.Segs[n-1].EndOrd
 	}
@@ -503,13 +501,14 @@ func (p *Program) loadSnapshot(cache *snapshot.Cache, key snapshot.Key, o RunOpt
 	return rec
 }
 
-// writeSnapshot saves the built graphs to the cache. Failures are counted
-// but never fail the recording: the snapshot is an accelerator, not an
-// output.
-func (r *Recording) writeSnapshot(cache *snapshot.Cache, key snapshot.Key) {
+// writeSnapshot saves the built OPT graph to the cache, without FP: a
+// hit re-runs the program for FP when a query asks for it. Failures are
+// counted but never fail the recording: the snapshot is an accelerator,
+// not an output.
+func (r *Recording) writeSnapshot(cache *snapshot.Cache, key snapshot.Key, optG *opt.Graph) {
 	img := &snapshot.Image{
 		Output: r.Output, Steps: r.Steps, Return: r.Return, Criteria: r.crit,
-		Segs: r.segs, FP: r.fpG, OPT: r.optG,
+		Segs: r.segs, OPT: optG,
 	}
 	t0 := time.Now()
 	n, err := snapshot.Write(cache.Path(key), key, img)
@@ -604,69 +603,99 @@ type Slicer struct {
 	impl slicing.MultiSlicer
 }
 
-// ensureFP returns the FP graph, building it from the trace on first
-// use when construction was deferred (RunOptions.DeferGraphs). A build
-// failure latches: later calls return the same error without retrying.
+// lazyGraph holds one of a recording's graphs: set by Record, or built
+// on first use. The outcome of the one build — the graph, or an error
+// that latches — is published atomically, so queries and planner
+// availability checks never wait on the build of another graph; mu
+// serializes only this graph's builders.
+type lazyGraph[G any] struct {
+	mu   sync.Mutex
+	done atomic.Pointer[graphBuild[G]]
+}
+
+type graphBuild[G any] struct {
+	g   *G
+	err error
+}
+
+// set installs a graph that Record built or loaded.
+func (l *lazyGraph[G]) set(g *G) { l.done.Store(&graphBuild[G]{g: g}) }
+
+// get returns the graph, running build on the first call. A failed
+// build latches: later calls return the same error without retrying.
+func (l *lazyGraph[G]) get(build func() (*G, error)) (*G, error) {
+	if b := l.done.Load(); b != nil {
+		return b.g, b.err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if b := l.done.Load(); b != nil {
+		return b.g, b.err
+	}
+	g, err := build()
+	l.done.Store(&graphBuild[G]{g, err})
+	return g, err
+}
+
+// state reports whether the graph is built, and whether it can answer:
+// false once its build has failed.
+func (l *lazyGraph[G]) state() (warm, ok bool) {
+	b := l.done.Load()
+	if b == nil {
+		return false, true
+	}
+	return b.err == nil, b.err == nil
+}
+
+// ensureFP returns the FP graph, building it by a re-run on first use.
 func (r *Recording) ensureFP() (*fp.Graph, error) {
-	r.buildMu.Lock()
-	defer r.buildMu.Unlock()
-	if r.fpG != nil {
-		return r.fpG, nil
-	}
-	if r.fpErr != nil {
-		return nil, r.fpErr
-	}
-	span := r.tel.StartSpan("fp-deferred-build")
-	g := fp.NewGraph(r.p.ir)
-	g.SetPlainLabels(r.fpPlain)
-	g.SetTelemetry(r.tel)
-	if err := r.replayInto(g); err != nil {
-		r.fpErr = fmt.Errorf("slicer: deferred FP build: %w", err)
-		span.End()
-		return nil, r.fpErr
-	}
-	span.End()
-	r.fpG = g
-	return g, nil
+	return r.fpG.get(func() (*fp.Graph, error) {
+		g := fp.NewGraph(r.p.ir)
+		g.SetPlainLabels(r.fpPlain)
+		g.SetTelemetry(r.tel)
+		if err := r.rerunInto("fp-deferred-build", g); err != nil {
+			return nil, fmt.Errorf("slicer: deferred FP build: %w", err)
+		}
+		return g, nil
+	})
 }
 
-// ensureOPT is ensureFP for the compacted graph.
+// ensureOPT is ensureFP for the compacted graph, which only a
+// RunOptions.DeferGraphs recording builds lazily.
 func (r *Recording) ensureOPT() (*opt.Graph, error) {
-	r.buildMu.Lock()
-	defer r.buildMu.Unlock()
-	if r.optG != nil {
-		return r.optG, nil
-	}
-	if r.optErr != nil {
-		return nil, r.optErr
-	}
-	span := r.tel.StartSpan("opt-deferred-build")
-	g := opt.NewGraph(r.p.ir, r.optCfg, r.hot, r.cuts)
-	g.SetTelemetry(r.tel)
-	if err := r.replayInto(g); err != nil {
-		r.optErr = fmt.Errorf("slicer: deferred OPT build: %w", err)
-		span.End()
-		return nil, r.optErr
-	}
-	span.End()
-	r.optG = g
-	return g, nil
+	return r.optG.get(func() (*opt.Graph, error) {
+		g := opt.NewGraph(r.p.ir, r.optCfg, r.hot, r.cuts)
+		g.SetTelemetry(r.tel)
+		if err := r.rerunInto("opt-deferred-build", g); err != nil {
+			return nil, fmt.Errorf("slicer: deferred OPT build: %w", err)
+		}
+		return g, nil
+	})
 }
 
-// replayInto feeds the recorded trace through a sink — the deferred
-// graph build path. The event stream is identical to what the builders
-// would have seen online, so the graphs are identical too.
-func (r *Recording) replayInto(sink trace.Sink) error {
-	f, err := os.Open(r.path)
+// rerunInto is the lazy graph build: it re-runs the program on the
+// recording's input straight into a graph builder, under a telemetry
+// span. The run takes the recording's step budget, captures no
+// checkpoints and writes no trace, so it serves a snapshot-loaded
+// recording, or one whose trace Close removed, as well. Execution is
+// deterministic: a run whose step count, block count or output differs
+// from the recording's fed the builder some other execution, and fails
+// the build as a backend fault.
+func (r *Recording) rerunInto(span string, sink trace.Sink) error {
+	sp := r.tel.StartSpan(span)
+	defer sp.End()
+	res, err := interp.Run(r.p.ir, interp.Options{Input: r.input, MaxSteps: r.maxSteps, Sink: sink, Telemetry: r.tel})
 	if err != nil {
-		return err
+		return fmt.Errorf("re-run: %w", err)
 	}
-	defer f.Close()
-	return trace.ReplayWith(r.p.ir, f, sink, trace.NewMetrics(r.tel))
+	if res.Steps != r.Steps || res.BlockExecs != r.totalBlocks || !slices.Equal(res.Output, r.Output) {
+		return fmt.Errorf("re-run diverged from the recording: %d steps, %d blocks, %d outputs against %d, %d, %d",
+			res.Steps, res.BlockExecs, len(res.Output), r.Steps, r.totalBlocks, len(r.Output))
+	}
+	return nil
 }
 
-// FP returns the full-graph slicer (building the graph on first use
-// when Record deferred it).
+// FP returns the full-graph slicer, building the graph on first use.
 func (r *Recording) FP() *Slicer {
 	g, err := r.ensureFP()
 	if err != nil {
@@ -816,8 +845,8 @@ type GraphStats struct {
 	PathNodes     int
 }
 
-// Stats returns graph statistics for this recording, building deferred
-// graphs if necessary (zero stats when a deferred build fails).
+// Stats returns graph statistics for this recording, building FP (and a
+// deferred OPT) if necessary (zero stats when a lazy build fails).
 func (r *Recording) Stats() GraphStats {
 	fpG, err1 := r.ensureFP()
 	optG, err2 := r.ensureOPT()
@@ -846,15 +875,14 @@ func (r *Recording) PlanFor(shape plan.Shape) plan.Decision {
 }
 
 // availability reports which backends can answer right now and which
-// graphs are already built.
+// graphs are already built. A graph can always be built by a re-run
+// unless its build has failed.
 func (r *Recording) availability() plan.Availability {
-	r.buildMu.Lock()
-	fpWarm, optWarm := r.fpG != nil, r.optG != nil
-	fpErr, optErr := r.fpErr, r.optErr
-	r.buildMu.Unlock()
+	fpWarm, fpOK := r.fpG.state()
+	optWarm, optOK := r.optG.state()
 	return plan.Availability{
-		FP:      (fpWarm || r.path != "") && fpErr == nil,
-		OPT:     (optWarm || r.path != "") && optErr == nil,
+		FP:      fpOK,
+		OPT:     optOK,
 		LP:      r.lpS != nil,
 		Reexec:  r.reexecS != nil,
 		Forward: r.fwd != nil,
