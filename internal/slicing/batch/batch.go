@@ -20,6 +20,10 @@
 //     tail (LIFO keeps the traversal depth-first and cache-warm), and
 //     steals half a victim's queue from the head when empty. Termination
 //     is a global count of enqueued-but-unfinished tasks.
+//   - Label cursors: each worker searches label lists through its own
+//     cursor table (labelblock.CursorCache), indexed by the caller's list
+//     numbers and recycled across runs, so every lookup starts where the
+//     worker's previous lookup in that list ended.
 //   - One worker: a run with one seed (every single query) or a pool of
 //     one owns all of the above outright, so it takes no locks and no
 //     atomics, resolves into a reused expansion buffer, and recycles its
@@ -39,6 +43,7 @@ import (
 
 	"dynslice/internal/ir"
 	"dynslice/internal/slicing"
+	"dynslice/internal/slicing/labelblock"
 )
 
 // Key identifies one traversal point. The packing is the caller's: FP uses
@@ -67,6 +72,7 @@ type Counters struct {
 	Steals      int64 // steal operations that moved at least one task
 	Merges      int64 // tasks coalesced by key before expansion (mask OR-merge)
 	Expansions  int64 // unique traversal points expanded
+	BlockHits   int64 // label lookups answered inside a block a cursor had decoded
 	WorkersUsed int   // workers the run actually started
 }
 
@@ -79,20 +85,15 @@ type Config struct {
 	// NumStmts sizes the dense per-statement result-mask arrays
 	// (statement IDs index them).
 	NumStmts int
+	// Lists sizes the per-worker cursor tables: Expand searches label
+	// lists numbered [0, Lists).
+	Lists int
 	// Expand resolves one traversal point by appending to exp, a
 	// per-worker buffer the kernel empties before each call and copies
 	// only when it memoizes the result. stats must count only this key's
 	// resolution work; the run keeps one call's stats per unique key
-	// (racing losers' are discarded). scratch is the caller's per-worker
-	// state from NewScratch (nil when unset).
-	Expand func(k Key, exp *Expansion, stats *slicing.Stats, scratch any)
-	// NewScratch builds per-worker expansion state (e.g. label-block
-	// cursor caches). Optional.
-	NewScratch func() any
-	// FinishScratch is called once per worker after the pool drains, on
-	// the caller's goroutine, so per-worker scratch tallies (cursor hit
-	// counts) can be folded into caller-side counters. Optional.
-	FinishScratch func(any)
+	// (racing losers' are discarded). cc is the worker's cursor table.
+	Expand func(k Key, exp *Expansion, stats *slicing.Stats, cc *labelblock.CursorCache)
 }
 
 // Task is a seed for Run: a traversal point and the criterion bits that
@@ -122,11 +123,7 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 	}
 	r.workers = make([]*worker, nw)
 	for i := range r.workers {
-		w := &worker{masks: make([]uint64, cfg.NumStmts)}
-		if cfg.NewScratch != nil {
-			w.scratch = cfg.NewScratch()
-		}
-		r.workers[i] = w
+		r.workers[i] = &worker{masks: make([]uint64, cfg.NumStmts), cc: labelblock.GetCursorCache(cfg.Lists)}
 	}
 	// Seeds are dealt round-robin so the pool starts balanced; stealing
 	// rebalances from there.
@@ -147,10 +144,9 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 		}
 		wg.Wait()
 	}
-	if cfg.FinishScratch != nil {
-		for _, w := range r.workers {
-			cfg.FinishScratch(w.scratch)
-		}
+	for _, w := range r.workers {
+		w.ctr.BlockHits = w.cc.Hits
+		w.cc.Release()
 	}
 	masks := r.workers[0].masks
 	stats := r.workers[0].stats
@@ -164,6 +160,7 @@ func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
 		ctr.Steals += w.ctr.Steals
 		ctr.Merges += w.ctr.Merges
 		ctr.Expansions += w.ctr.Expansions
+		ctr.BlockHits += w.ctr.BlockHits
 	}
 	ctr.WorkersUsed = nw
 	return masks, stats, ctr
@@ -191,20 +188,21 @@ func Slices(cfg Config, keys []Key) ([]*slicing.Slice, *slicing.Stats, Counters)
 		ctr.Steals += c.Steals
 		ctr.Merges += c.Merges
 		ctr.Expansions += c.Expansions
+		ctr.BlockHits += c.BlockHits
 		ctr.WorkersUsed = max(ctr.WorkersUsed, c.WorkersUsed)
 	}
 	return outs, stats, ctr
 }
 
 type worker struct {
-	mu      sync.Mutex
-	dq      []Task
-	buf     Expansion     // reused expansion buffer
-	delta   slicing.Stats // one expansion's stats, before the memo decides
-	masks   []uint64
-	stats   slicing.Stats
-	ctr     Counters
-	scratch any
+	mu    sync.Mutex
+	dq    []Task
+	buf   Expansion     // reused expansion buffer
+	delta slicing.Stats // one expansion's stats, before the memo decides
+	masks []uint64
+	stats slicing.Stats
+	ctr   Counters
+	cc    *labelblock.CursorCache
 }
 
 // runner is one Run's state. A one-worker run (shared == false) owns all
@@ -325,7 +323,7 @@ func (r *runner) process(w *worker, t Task) {
 		exp = &w.buf
 		exp.Stmts, exp.Targets = exp.Stmts[:0], exp.Targets[:0]
 		w.delta = slicing.Stats{}
-		r.cfg.Expand(t.K, exp, &w.delta, w.scratch)
+		r.cfg.Expand(t.K, exp, &w.delta, w.cc)
 		if t.Mask == r.full || t.e.publish(exp.clone(), r.shared) {
 			w.stats.Instances += w.delta.Instances
 			w.stats.LabelProbes += w.delta.LabelProbes

@@ -6,6 +6,7 @@ import (
 
 	"dynslice/internal/ir"
 	"dynslice/internal/slicing"
+	"dynslice/internal/slicing/labelblock"
 )
 
 // synthetic DAG: key i contributes statement i%numStmts and leads to keys
@@ -16,7 +17,7 @@ const (
 	synStmts = 257
 )
 
-func synExpand(k Key, e *Expansion, stats *slicing.Stats, _ any) {
+func synExpand(k Key, e *Expansion, stats *slicing.Stats, _ *labelblock.CursorCache) {
 	stats.Instances++
 	stats.LabelProbes += 2
 	i := k.K1
@@ -124,38 +125,55 @@ func TestOneSeedRun(t *testing.T) {
 	}
 }
 
-// TestScratchLifecycle: NewScratch runs once per started worker and
-// FinishScratch sees every scratch exactly once, after the pool drains.
-func TestScratchLifecycle(t *testing.T) {
-	type scratch struct{ expansions int }
+// TestWorkerCursorTables: every started worker searches through a cursor
+// table of its own, sized to Config.Lists — no table is ever in use by two
+// expansions at once — and the run reports the tables' block hits, no
+// more than the lookups made.
+func TestWorkerCursorTables(t *testing.T) {
+	l := labelblock.NewList(false, false)
+	for i := int64(0); i < 4*labelblock.BlockSize; i++ {
+		l.Append(nil, labelblock.Pair{Td: i, Tu: i}, 0)
+	}
+	l.Seal(false)
 	var mu sync.Mutex
-	var finished []*scratch
+	lookups := map[*labelblock.CursorCache]int64{}
+	busy := map[*labelblock.CursorCache]bool{}
 	cfg := Config{
 		Workers:  4,
 		NumStmts: synStmts,
-		Expand: func(k Key, e *Expansion, stats *slicing.Stats, sc any) {
-			sc.(*scratch).expansions++
-			synExpand(k, e, stats, nil)
-		},
-		NewScratch: func() any { return &scratch{} },
-		FinishScratch: func(sc any) {
+		Lists:    3,
+		Expand: func(k Key, e *Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
 			mu.Lock()
-			finished = append(finished, sc.(*scratch))
+			if busy[cc] {
+				t.Error("one cursor table used by two expansions at once")
+			}
+			busy[cc] = true
+			lookups[cc]++
+			mu.Unlock()
+			if _, _, _, ok := cc.Find(2, &l, int64(k.K1)%int64(l.Len())); !ok {
+				t.Errorf("Find(%d) missed", k.K1)
+			}
+			synExpand(k, e, stats, cc)
+			mu.Lock()
+			busy[cc] = false
 			mu.Unlock()
 		},
 	}
 	_, _, ctr := Run(cfg, synSeeds(16))
-	if len(finished) != ctr.WorkersUsed {
-		t.Fatalf("FinishScratch ran %d times, want %d", len(finished), ctr.WorkersUsed)
+	if len(lookups) == 0 || len(lookups) > ctr.WorkersUsed {
+		t.Fatalf("%d cursor tables for %d workers", len(lookups), ctr.WorkersUsed)
 	}
-	var total int
-	for _, sc := range finished {
-		total += sc.expansions
+	var total int64
+	for _, n := range lookups {
+		total += n
 	}
-	// Racing losers also call Expand, so the per-scratch total is >= the
+	// Racing losers also call Expand, so the lookup total is >= the
 	// published expansion count — never less.
-	if int64(total) < ctr.Expansions {
-		t.Fatalf("scratch saw %d expansions, published %d", total, ctr.Expansions)
+	if total < ctr.Expansions {
+		t.Fatalf("cursor tables saw %d lookups, published %d expansions", total, ctr.Expansions)
+	}
+	if ctr.BlockHits == 0 || ctr.BlockHits > total {
+		t.Fatalf("%d block hits over %d lookups", ctr.BlockHits, total)
 	}
 }
 

@@ -70,6 +70,11 @@ type Graph struct {
 	dataPairs int64
 	cdPairs   int64
 
+	// slotOff numbers the lists for the query cursors: use slot i of
+	// statement s is list slotOff[s]+i, and block b's control list is
+	// slotOff[len(p.Stmts)]+b.
+	slotOff []int32
+
 	mem   *labelblock.Arena
 	plain bool // -compact=false escape hatch: flat []Pair tails, no blocks
 	enc   *labelblock.Encoder
@@ -120,12 +125,24 @@ func NewGraph(p *ir.Program) *Graph {
 		p:        p,
 		useEdges: make([][]labelblock.List, len(p.Stmts)),
 		cdEdges:  make([]labelblock.List, len(p.Blocks)),
+		slotOff:  useSlotOffsets(p),
 		mem:      labelblock.NewArena(),
 	}
 	for i := range g.cdEdges {
 		g.cdEdges[i] = labelblock.NewList(false, true)
 	}
 	return g
+}
+
+// useSlotOffsets derives Graph.slotOff from the program: each statement's
+// first use-slot number, and past the last statement the slot total,
+// where the block numbers start.
+func useSlotOffsets(p *ir.Program) []int32 {
+	off := make([]int32, len(p.Stmts)+1)
+	for i, s := range p.Stmts {
+		off[i+1] = off[i] + int32(len(s.Uses))
+	}
+	return off
 }
 
 // SetPlainLabels disables block compaction (the -compact=false escape

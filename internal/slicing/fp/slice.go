@@ -50,7 +50,8 @@ func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slic
 // the shared flat visited table, so a subgraph shared by several slices
 // is walked — and its per-slot label searches performed — once instead of
 // once per criterion. Per-worker label-block cursors answer clustered
-// probes from one decoded block (the block-granular merge). Every
+// probes from one decoded block (the block-granular merge), each search
+// starting where the previous one in that list ended. Every
 // returned slice is identical to what Slice would produce; the aggregate
 // stats count each unique instance and label probe once.
 func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Stats, error) {
@@ -73,19 +74,17 @@ func (g *Graph) sliceAll(cs []slicing.Criterion, rec *explain.Recorder) ([]*slic
 		rec.Criterion(start.stmt, start.ts)
 		keys[i] = fpKey(start.stmt, start.ts)
 	}
-	var blockHits int64
 	outs, stats, ctr := batch.Slices(batch.Config{
 		Workers:  int(g.workers.Load()),
 		NumStmts: len(g.p.Stmts),
-		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, sc any) {
-			g.expandInstance(k, exp, stats, sc.(*labelblock.CursorCache), rec)
+		Lists:    int(g.slotOff[len(g.p.Stmts)]) + len(g.cdEdges),
+		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
+			g.expandInstance(k, exp, stats, cc, rec)
 		},
-		NewScratch:    func() any { return labelblock.NewCursorCache() },
-		FinishScratch: func(sc any) { blockHits += sc.(*labelblock.CursorCache).Hits },
 	}, keys)
 	if reg := g.tel; reg != nil {
 		reg.Counter("slice.batch.steals").Add(ctr.Steals)
-		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + blockHits)
+		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + ctr.BlockHits)
 	}
 	return outs, stats, nil
 }
@@ -101,8 +100,9 @@ func (g *Graph) expandInstance(k batch.Key, exp *batch.Expansion, stats *slicing
 	exp.Stmts = append(exp.Stmts, stmt)
 	s := g.p.Stmt(stmt)
 	if slots := g.useEdges[stmt]; slots != nil {
+		off := int(g.slotOff[stmt])
 		for i := range s.Uses {
-			td, def, probes, found := cc.Find(&slots[i], ts)
+			td, def, probes, found := cc.Find(off+i, &slots[i], ts)
 			stats.LabelProbes += probes
 			if found {
 				if rec != nil {
@@ -112,7 +112,7 @@ func (g *Graph) expandInstance(k batch.Key, exp *batch.Expansion, stats *slicing
 			}
 		}
 	}
-	ta, anc, probes, found := cc.Find(&g.cdEdges[s.Block.ID], ts)
+	ta, anc, probes, found := cc.Find(int(g.slotOff[len(g.p.Stmts)])+int(s.Block.ID), &g.cdEdges[s.Block.ID], ts)
 	stats.LabelProbes += probes
 	if found {
 		if rec != nil {

@@ -65,8 +65,9 @@ func (g *Graph) AppendSnapshot(dst []byte) []byte {
 // decode. Errors are classified *labelblock.CorruptError values.
 func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	g := &Graph{
-		p:   p,
-		mem: labelblock.NewArena(),
+		p:       p,
+		slotOff: useSlotOffsets(p),
+		mem:     labelblock.NewArena(),
 	}
 	var ts, dp, cp uint64
 	var err error

@@ -1,104 +1,174 @@
 package labelblock
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
-// Cursor caches the most recently decoded block of one List so that
-// clustered probes — the common shape in batched slicing, where one
-// traversal resolves many timestamps against the same hot edge list —
-// decode each block's varint stream once and binary-search the decoded
-// pairs afterwards, instead of linearly re-decoding the block per probe.
-// A Cursor is single-goroutine state (batched slicing keeps one cache per
-// worker); the underlying List must be sealed (sorted) and is never
-// mutated.
+// Cursor is one worker's position in one List: the block it decoded last
+// and the index at which its previous search ended, in that block and in
+// the tail. A traversal resolves timestamps that cluster around the one it
+// resolved last against the same list, so each search gallops outward
+// from where the previous one stopped instead of starting over: almost
+// every answer lies within a few entries of it. A block is decoded once
+// and searched from its decoded pairs until a probe leaves its Tu range.
+// A Cursor is single-goroutine state (each worker owns a CursorCache);
+// the underlying List must be sealed (sorted) and is not mutated while a
+// cursor is in use.
 type Cursor struct {
-	bi    int // decoded block index; -1 = none
-	pairs []Pair
-	aux   []int32
+	gen         uint32 // run of the owning table that last used the cursor
+	bi          int32  // decoded block index; -1 = none
+	at          int32  // index in pairs at which the previous search ended
+	tat         int32  // index in the tail at which the previous search ended
+	first, last int64  // Tu range of the decoded block
+	pairs       []Pair
+	aux         []int32
 }
 
 // find resolves tu against l through the cursor. Probe accounting counts
-// real work: a full block decode costs N probes (same unit Block.Find
-// charges per decoded entry), a search within the cached block costs its
-// binary-search comparisons. hit reports whether the cached block answered
+// real work: a block decode costs N probes (the unit Block.Find charges
+// per decoded entry), a search costs its Tu comparisons, and a rejected
+// sealed range costs one. hit reports whether the cached block answered
 // without a decode — the block-granular merge event.
 func (c *Cursor) find(l *List, tu int64) (td int64, aux int32, probes int64, found bool, hit bool) {
-	blocks := l.blocks
-	if c.bi >= 0 && c.bi < len(blocks) &&
-		tu >= blocks[c.bi].FirstTu && tu <= blocks[c.bi].LastTu {
-		td, aux, probes, found = c.search(tu)
-		hit = true
-	} else if i := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTu >= tu }); i < len(blocks) && blocks[i].FirstTu <= tu {
-		c.pairs, c.aux = blocks[i].Decode(c.pairs[:0], c.aux[:0])
-		c.bi = i
-		var p int64
-		td, aux, p, found = c.search(tu)
-		probes = int64(blocks[i].N) + p
-	} else if len(blocks) > 0 {
-		probes++ // the boundary comparison that rejected the sealed range
-	}
-	if found {
-		return td, aux, probes, true, hit
+	if blocks := l.blocks; len(blocks) > 0 {
+		bi := int(c.bi)
+		if bi >= 0 && tu >= c.first && tu <= c.last {
+			hit = true
+		} else if i := sort.Search(len(blocks), func(i int) bool { return blocks[i].LastTu >= tu }); i < len(blocks) && blocks[i].FirstTu <= tu {
+			b := &blocks[i]
+			c.pairs, c.aux = b.Decode(c.pairs[:0], c.aux[:0])
+			c.first, c.last = b.FirstTu, b.LastTu
+			// Moving forward, the answer sits near the new block's start;
+			// moving back, near its end.
+			c.at = 0
+			if i < bi {
+				c.at = int32(len(c.pairs) - 1)
+			}
+			c.bi, bi = int32(i), i
+			probes = int64(b.N)
+		} else {
+			bi = -1
+			probes = 1 // the boundary comparison that rejected the sealed range
+		}
+		if bi >= 0 {
+			i, p := gallop(c.pairs, int(c.at), tu)
+			probes += p
+			c.at = int32(min(i, len(c.pairs)-1))
+			if i < len(c.pairs) && c.pairs[i].Tu == tu {
+				if len(c.aux) == len(c.pairs) {
+					aux = c.aux[i]
+				}
+				return c.pairs[i].Td, aux, probes, true, hit
+			}
+		}
 	}
 	// Mirror List.Find: a miss in the sealed range still consults the
 	// tail (a straddling tail can hold the pair).
-	td, aux, p, ok := l.findTail(tu)
-	return td, aux, probes + p, ok, hit
+	if len(l.tail) == 0 {
+		return 0, 0, probes, false, hit
+	}
+	i, p := gallop(l.tail, int(c.tat), tu)
+	probes += p
+	c.tat = int32(min(i, len(l.tail)-1))
+	if i < len(l.tail) && l.tail[i].Tu == tu {
+		if l.hasAux() {
+			aux = l.aux[i]
+		}
+		return l.tail[i].Td, aux, probes, true, hit
+	}
+	return 0, 0, probes, false, hit
 }
 
-// search binary-searches the decoded block.
-func (c *Cursor) search(tu int64) (td int64, aux int32, probes int64, found bool) {
-	lo, hi := 0, len(c.pairs)
+// gallop returns the first index of ps (sorted by Tu, non-empty) whose Tu
+// is at least tu — len(ps) when there is none — and the Tu comparisons it
+// made. It starts at the hint at and steps outward 1, 2, 4, ... entries
+// until the answer is bracketed, then binary-searches the bracket, so an
+// answer d entries from the hint costs about 2·log2(d)+2 comparisons: two
+// when it is the hint itself or its successor.
+func gallop(ps []Pair, at int, tu int64) (int, int64) {
+	at = min(at, len(ps)-1)
+	probes := int64(1)
+	var lo, hi int // the answer lies in [lo, hi]
+	if ps[at].Tu < tu {
+		lo, hi = at+1, len(ps)
+		for step := 1; at+step < len(ps); step <<= 1 {
+			probes++
+			if ps[at+step].Tu >= tu {
+				hi = at + step
+				break
+			}
+			lo = at + step + 1
+		}
+	} else {
+		lo, hi = 0, at
+		for step := 1; at-step >= 0; step <<= 1 {
+			probes++
+			if ps[at-step].Tu < tu {
+				lo = at - step + 1
+				break
+			}
+			hi = at - step
+		}
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		probes++
-		if c.pairs[mid].Tu < tu {
+		if ps[mid].Tu < tu {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(c.pairs) && c.pairs[lo].Tu == tu {
-		var a int32
-		if len(c.aux) == len(c.pairs) {
-			a = c.aux[lo]
-		}
-		return c.pairs[lo].Td, a, probes, true
-	}
-	return 0, 0, probes, false
+	return lo, probes
 }
 
-// CursorCache maps lists to their cursors for one worker, with a one-slot
-// fast path for consecutive probes against the same list. Lists without
-// sealed blocks bypass the cache (their tail binary search is already
-// minimal).
+// CursorCache is one worker's cursor table: one Cursor per list number,
+// the numbering being the caller's (OPT numbers its label lists, FP its
+// use slots and then its blocks). Tables are recycled across runs, so a
+// query reuses the decode buffers of earlier ones instead of allocating
+// them; each run stamps its table afresh, and a cursor an earlier run left
+// behind is reset on first use, so no search position or count carries
+// over from one query to the next.
 type CursorCache struct {
-	m     map[*List]*Cursor
-	lastL *List
-	lastC *Cursor
-	// Hits counts probes answered inside an already-decoded block — the
+	cs  []Cursor
+	gen uint32
+	// Hits counts lookups answered inside an already-decoded block — the
 	// block-granular merge events surfaced as slice.batch.block_merges.
 	Hits int64
 }
 
-// NewCursorCache returns an empty per-worker cache.
-func NewCursorCache() *CursorCache {
-	return &CursorCache{m: map[*List]*Cursor{}}
+var cursorCaches = sync.Pool{New: func() any { return new(CursorCache) }}
+
+// GetCursorCache returns a reset table for lists numbered [0, n),
+// recycled from an earlier run when one is free.
+func GetCursorCache(n int) *CursorCache {
+	cc := cursorCaches.Get().(*CursorCache)
+	if cap(cc.cs) < n {
+		cc.cs = make([]Cursor, n)
+	}
+	cc.cs = cc.cs[:n]
+	if cc.gen++; cc.gen == 0 {
+		// The stamp wrapped: clear every one a cursor could still hold.
+		all := cc.cs[:cap(cc.cs)]
+		for i := range all {
+			all[i].gen = 0
+		}
+		cc.gen = 1
+	}
+	cc.Hits = 0
+	return cc
 }
 
-// Find is List.Find through the worker's cursor for l.
-func (cc *CursorCache) Find(l *List, tu int64) (td int64, aux int32, probes int64, found bool) {
-	if cc == nil || len(l.blocks) == 0 {
-		return l.Find(tu)
-	}
-	c := cc.lastC
-	if cc.lastL != l {
-		var ok bool
-		c, ok = cc.m[l]
-		if !ok {
-			c = &Cursor{bi: -1}
-			cc.m[l] = c
-		}
-		cc.lastL, cc.lastC = l, c
+// Release hands the table back for a later run; the caller must not use
+// it afterwards.
+func (cc *CursorCache) Release() { cursorCaches.Put(cc) }
+
+// Find is l.Find through the cursor of list number id.
+func (cc *CursorCache) Find(id int, l *List, tu int64) (td int64, aux int32, probes int64, found bool) {
+	c := &cc.cs[id]
+	if c.gen != cc.gen {
+		c.gen, c.bi, c.at, c.tat = cc.gen, -1, 0, 0
 	}
 	td, aux, probes, found, hit := c.find(l, tu)
 	if hit {

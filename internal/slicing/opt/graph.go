@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -69,15 +68,18 @@ func (l *Labels) ensureSorted() {
 // then a scan within one block. The second result counts label probes
 // (for traversal-cost accounting); found reports success.
 func (l *Labels) Find(tu int64) (td int64, probes int64, found bool) {
-	return l.FindCached(nil, tu)
+	l.ensureSorted()
+	td, _, probes, found = l.list.Find(tu)
+	return td, probes, found
 }
 
-// FindCached is Find through a per-worker block cursor cache (nil: plain
-// Find). Batched traversals resolve clustered timestamps against the same
-// hot lists; the cursor answers those from one decoded block.
-func (l *Labels) FindCached(cc *labelblock.CursorCache, tu int64) (td int64, probes int64, found bool) {
+// findCursor is Find through the list's cursor in a worker's cursor table
+// (the list's registry index numbers it). Traversals resolve clustered
+// timestamps against the same hot lists; the cursor answers those from
+// one decoded block, each search starting where the previous one ended.
+func (l *Labels) findCursor(cc *labelblock.CursorCache, tu int64) (td int64, probes int64, found bool) {
 	l.ensureSorted()
-	td, _, probes, found = cc.Find(&l.list, tu)
+	td, _, probes, found = cc.Find(int(l.id), &l.list, tu)
 	return td, probes, found
 }
 
@@ -403,10 +405,10 @@ type Graph struct {
 	pendingCont *contBuf
 	cont        contBuf // the one continuation pendingCont points at
 
-	// Shortcut closures, computed lazily after building. The memo is the
-	// one graph structure concurrent queries write; shortcutMu guards it.
-	shortcuts  map[InstLoc]*closure
-	shortcutMu sync.Mutex
+	// Shortcut closures, computed lazily after building: the table is
+	// allocated by the first query, and it is the one graph structure
+	// concurrent queries write (see shortcut.go).
+	closures atomic.Pointer[closureTable]
 
 	// §4.2 hybrid disk-epoch mode (nil when disabled); see hybrid.go.
 	hybrid *hybridState

@@ -175,12 +175,11 @@ func (g *Graph) flushEpoch() error {
 }
 
 // findLabel searches l for tu: resident pairs first (through cc, the
-// caller's per-worker cursor cache, when non-nil), then the epoch file
-// whose range contains tu (loaded on demand, one-epoch cache). An
-// observer is told about each actual epoch-file load charged to its
-// query.
-func (g *Graph) findLabel(l *Labels, id int32, tu int64, cc *labelblock.CursorCache, obs *explain.Recorder) (int64, int64, bool) {
-	td, probes, ok := l.FindCached(cc, tu)
+// caller's per-worker cursor table), then the epoch file whose range
+// contains tu (loaded on demand, one-epoch cache). An observer is told
+// about each actual epoch-file load charged to its query.
+func (g *Graph) findLabel(l *Labels, tu int64, cc *labelblock.CursorCache, obs *explain.Recorder) (int64, int64, bool) {
+	td, probes, ok := l.findCursor(cc, tu)
 	if ok || g.hybrid == nil {
 		return td, probes, ok
 	}
@@ -199,7 +198,7 @@ func (g *Graph) findLabel(l *Labels, id int32, tu int64, cc *labelblock.CursorCa
 	if err := h.load(ei); err != nil {
 		return 0, probes, false
 	}
-	td, _, p, ok := labelblock.FindBlocks(h.cache[id], tu)
+	td, _, p, ok := labelblock.FindBlocks(h.cache[l.id], tu)
 	return td, probes + p, ok
 }
 

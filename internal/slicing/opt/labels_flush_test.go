@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"dynslice/internal/slicing/labelblock"
@@ -83,13 +84,16 @@ func TestLabelsLenAfterFlush(t *testing.T) {
 
 // FuzzLabelsFindRoundTrip appends a fuzzer-chosen mix of in- and
 // out-of-order pairs and checks Find against a linear scan of everything
-// appended.
+// appended. The same timestamps are then looked up through one cursor
+// table — in append order, in reverse, as ±1 neighbours and as values
+// never appended — and every galloping answer must equal Find's.
 func FuzzLabelsFindRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 250, 6})
 	f.Add([]byte{200, 1, 200, 2, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := &Labels{}
 		want := map[int64]int64{}
+		var order []int64
 		tu := int64(0)
 		for len(data) >= 2 {
 			// Byte 0 is a signed Tu step (out-of-order when negative),
@@ -102,6 +106,7 @@ func FuzzLabelsFindRoundTrip(f *testing.F) {
 				continue
 			}
 			want[tu] = td
+			order = append(order, tu)
 			l.Append(nil, Pair{Td: td, Tu: tu})
 		}
 		for u, d := range want {
@@ -121,5 +126,28 @@ func FuzzLabelsFindRoundTrip(f *testing.F) {
 		if _, _, ok := l.Find(probe); ok {
 			t.Fatalf("Find(%d) hit; value was never appended", probe)
 		}
+
+		cc := labelblock.GetCursorCache(1)
+		defer cc.Release()
+		viaCursor := func(u int64) {
+			wantTd, _, wantOk := l.Find(u)
+			got, _, ok := l.findCursor(cc, u)
+			if ok != wantOk || got != wantTd {
+				t.Fatalf("cursor Find(%d) = %d,%v want %d,%v over %d pairs", u, got, ok, wantTd, wantOk, len(want))
+			}
+		}
+		for _, u := range order {
+			viaCursor(u)
+		}
+		for i := len(order) - 1; i >= 0; i-- {
+			viaCursor(order[i])
+		}
+		for _, u := range order {
+			viaCursor(u - 1)
+			viaCursor(u + 1)
+		}
+		// Never appended: probe, and a value below the smallest.
+		viaCursor(probe)
+		viaCursor(slices.Min(append(order, probe)) - 1)
 	})
 }

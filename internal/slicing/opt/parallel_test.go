@@ -237,16 +237,19 @@ func TestSliceAllErrors(t *testing.T) {
 // TestConcurrentSlice hammers one finalized graph from many goroutines —
 // sequential queries, batched queries, and hybrid epoch loads all at once
 // — and checks every result against a precomputed baseline. Run under
-// -race this is the post-build freeze proof (satellite: Labels frozen,
-// shortcut memo and epoch cache guarded).
+// -race this is the post-build freeze proof: labels frozen, the shortcut
+// closure table and the epoch cache safe to share. Computing the baseline
+// fills the graph's closure table, so the first-use case hammers a second
+// build of the same program instead, whose table the goroutines' queries
+// allocate and fill concurrently.
 func TestConcurrentSlice(t *testing.T) {
-	for _, hybrid := range []int64{0, 1} {
-		name := "resident"
-		if hybrid > 0 {
-			name = "hybrid"
-		}
-		t.Run(name, func(t *testing.T) {
-			g, addrs := buildFull(t, opt.Full(), hybrid)
+	for _, tc := range []struct {
+		name     string
+		hybrid   int64
+		firstUse bool
+	}{{"resident", 0, false}, {"hybrid", 1, false}, {"first-use", 0, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, addrs := buildFull(t, opt.Full(), tc.hybrid)
 			want := make([]*slicing.Slice, len(addrs))
 			for i, a := range addrs {
 				sl, _, err := g.Slice(slicing.AddrCriterion(a))
@@ -254,6 +257,9 @@ func TestConcurrentSlice(t *testing.T) {
 					t.Fatal(err)
 				}
 				want[i] = sl
+			}
+			if tc.firstUse {
+				g, _ = buildFull(t, opt.Full(), tc.hybrid)
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 64)

@@ -1,6 +1,10 @@
 package opt
 
-import "dynslice/internal/ir"
+import (
+	"sync/atomic"
+
+	"dynslice/internal/ir"
+)
 
 // Shortcut edges (paper §3.4 "Using Shortcuts to Speed Up Traversal"):
 // when several static edges would be traversed in sequence, their
@@ -13,6 +17,8 @@ import "dynslice/internal/ir"
 //
 // Closures are computed lazily after the build completes, so an edge
 // counts as "all static" only if it also accumulated no fallback labels.
+// The first query allocates the memo table (building and loading a graph
+// never do), and queries fill it without a lock.
 
 type useRef struct {
 	stmt, slot int32
@@ -41,15 +47,48 @@ type closure struct {
 	cFront []cdRef
 }
 
-// closureFor returns (computing and memoizing on first use) the static
-// closure of the statement copy at loc. The memo is shared by concurrent
-// queries; the lock covers the computation so a closure is built once.
-func (g *Graph) closureFor(loc InstLoc) *closure {
-	g.shortcutMu.Lock()
-	defer g.shortcutMu.Unlock()
-	if c, ok := g.shortcuts[loc]; ok {
+// closureTable memoizes one closure per statement copy: copy si of node
+// n is slot off[n]+si. Each slot is an atomic pointer and a closure is
+// published by compare-and-swap, so concurrent queries share the table
+// without a lock: workers racing on an empty slot each compute the
+// closure, and all of them use the one that was stored first.
+type closureTable struct {
+	off []int32
+	cl  []atomic.Pointer[closure]
+}
+
+// shortcuts returns the graph's closure table, allocating it on first
+// use.
+func (g *Graph) shortcuts() *closureTable {
+	if t := g.closures.Load(); t != nil {
+		return t
+	}
+	t := &closureTable{off: make([]int32, len(g.nodes))}
+	var n int32
+	for i, nd := range g.nodes {
+		t.off[i] = n
+		n += int32(len(nd.Stmts))
+	}
+	t.cl = make([]atomic.Pointer[closure], n)
+	if g.closures.CompareAndSwap(nil, t) {
+		return t
+	}
+	return g.closures.Load()
+}
+
+// get returns the static closure of the statement copy at loc, computing
+// and publishing it on first use.
+func (t *closureTable) get(g *Graph, loc InstLoc) *closure {
+	slot := &t.cl[t.off[loc.Node]+loc.Stmt]
+	if c := slot.Load(); c != nil {
 		return c
 	}
+	slot.CompareAndSwap(nil, g.closure(loc))
+	return slot.Load()
+}
+
+// closure computes the static closure of the statement copy at loc.
+func (g *Graph) closure(loc InstLoc) *closure {
 	n := g.nodes[loc.Node]
 	c := &closure{}
 	seenStmt := map[int32]bool{}
@@ -119,6 +158,5 @@ func (g *Graph) closureFor(loc InstLoc) *closure {
 	for i := range c.uFront {
 		c.uFront[i].member = seenStmt[c.uFront[i].stmt]
 	}
-	g.shortcuts[loc] = c
 	return c
 }

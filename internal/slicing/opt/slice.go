@@ -103,33 +103,37 @@ func (g *Graph) sliceAll(cs []slicing.Criterion, rec *explain.Recorder) ([]*slic
 		}
 		keys[i] = optKey(d.Loc, d.Ts, -1)
 	}
-	var blockHits int64
+	var closures *closureTable
+	if g.cfg.Shortcuts {
+		closures = g.shortcuts()
+	}
 	outs, stats, ctr := batch.Slices(batch.Config{
 		Workers:  int(g.workers.Load()),
 		NumStmts: len(g.p.Stmts),
-		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, sc any) {
-			x := expander{g: g, exp: exp, stats: stats, cc: sc.(*labelblock.CursorCache), rec: rec}
+		Lists:    len(g.allLabels),
+		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
+			x := expander{g: g, closures: closures, exp: exp, stats: stats, cc: cc, rec: rec}
 			x.point(k)
 		},
-		NewScratch:    func() any { return labelblock.NewCursorCache() },
-		FinishScratch: func(sc any) { blockHits += sc.(*labelblock.CursorCache).Hits },
 	}, keys)
 	if reg := g.tel; reg != nil {
 		reg.Counter("slice.batch.steals").Add(ctr.Steals)
-		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + blockHits)
+		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + ctr.BlockHits)
 	}
 	return outs, stats, nil
 }
 
 // expander resolves one traversal point into the kernel's expansion
-// buffer, through one worker's label-block cursors; rec (nil unless the
+// buffer, through one worker's label-block cursors and the graph's
+// shortcut closures (nil when shortcuts are off); rec (nil unless the
 // query is observed) sees every resolved hop.
 type expander struct {
-	g     *Graph
-	exp   *batch.Expansion
-	stats *slicing.Stats
-	cc    *labelblock.CursorCache
-	rec   *explain.Recorder
+	g        *Graph
+	closures *closureTable
+	exp      *batch.Expansion
+	stats    *slicing.Stats
+	cc       *labelblock.CursorCache
+	rec      *explain.Recorder
 }
 
 // point expands a statement instance (slot == -1: its statements, uses
@@ -143,9 +147,9 @@ func (x *expander) point(k batch.Key) {
 		return
 	}
 	x.stats.Instances++
-	if g.cfg.Shortcuts {
+	if x.closures != nil {
 		g.cShortcut.Inc()
-		cl := g.closureFor(loc)
+		cl := x.closures.get(g, loc)
 		if x.rec != nil {
 			x.observeClosure(loc, ts, cl)
 		}
@@ -261,7 +265,7 @@ const (
 func (g *Graph) resolveUseDep(loc InstLoc, slot int32, ts int64, stats *slicing.Stats, cc *labelblock.CursorCache, obs *explain.Recorder) dep {
 	us := g.nodes[loc.Node].useSet(loc.Stmt, slot)
 	for i := range us.Dyn {
-		td, probes, found := g.findLabel(us.Dyn[i].L, us.Dyn[i].L.id, ts, cc, obs)
+		td, probes, found := g.findLabel(us.Dyn[i].L, ts, cc, obs)
 		stats.LabelProbes += probes
 		if found {
 			if td < 0 {
@@ -297,7 +301,7 @@ func (g *Graph) resolveCDDep(node NodeID, occIdx int32, ts int64, stats *slicing
 	for {
 		occ := &g.nodes[node].Occs[occIdx]
 		for i := range occ.CD.Dyn {
-			ta, probes, found := g.findLabel(occ.CD.Dyn[i].L, occ.CD.Dyn[i].L.id, ts, cc, obs)
+			ta, probes, found := g.findLabel(occ.CD.Dyn[i].L, ts, cc, obs)
 			stats.LabelProbes += probes
 			if found {
 				if ta < 0 {

@@ -27,7 +27,6 @@ func NewGraph(p *ir.Program, cfg Config, paths []*profile.PathProfile, cuts *pro
 		clusterIsCD:   map[int32]bool{},
 		copies:        map[ir.StmtID][]InstLoc{},
 		occCopies:     map[ir.BlockID][]occLoc{},
-		shortcuts:     map[InstLoc]*closure{},
 		cuts:          cuts,
 		mem:           labelblock.NewArena(),
 	}

@@ -226,3 +226,99 @@ func TestDecoderBoundsAddresses(t *testing.T) {
 		}
 	}
 }
+
+// dropFunc forwards a run's events to w, leaving out every block and
+// statement of the function named fn.
+type dropFunc struct {
+	w   *trace.Writer
+	fn  string
+	off bool
+}
+
+func (d *dropFunc) Block(b *ir.Block) {
+	if d.off = b.Fn.Name == d.fn; !d.off {
+		d.w.Block(b)
+	}
+}
+
+func (d *dropFunc) Stmt(s *ir.Stmt, uses, defs []int64) {
+	if !d.off {
+		d.w.Stmt(s, uses, defs)
+	}
+}
+
+func (d *dropFunc) RegionDef(s *ir.Stmt, start, length int64) {
+	if !d.off {
+		d.w.RegionDef(s, start, length)
+	}
+}
+
+func (d *dropFunc) End() { d.w.End() }
+
+// streamSkipping encodes a run of p with the callee fn left out: each
+// caller's continuation block follows its call block directly.
+func streamSkipping(tb testing.TB, p *ir.Program, fn string) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(p, &buf, 0)
+	if _, err := interp.Run(p, interp.Options{Sink: &dropFunc{w: w, fn: fn}}); err != nil {
+		tb.Fatal(err)
+	}
+	if w.Err() != nil {
+		tb.Fatal(w.Err())
+	}
+	return buf.Bytes()
+}
+
+// TestDecoderChecksControlFlow: a whole-stream decoder checks each block
+// record against the previous one. A stream that runs main's
+// continuation right after its call block, skipping the callee, used to
+// replay with a nil error and have the builders run the continuation in
+// f's frame; it now fails as bad_block, as does a stream that does not
+// start at main's entry. A mid-file decoder, which starts without the
+// call history, still decodes the skipping stream.
+func TestDecoderChecksControlFlow(t *testing.T) {
+	p := prog(t, `func f() { print(1); return 0; } func main() { print(2); f(); return 0; }`)
+	var buf bytes.Buffer
+	w := trace.NewWriter(p, &buf, 0)
+	if _, err := interp.Run(p, interp.Options{Sink: w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Replay(p, bytes.NewReader(buf.Bytes()), &recorder{}); err != nil {
+		t.Fatalf("pristine stream must replay: %v", err)
+	}
+
+	skip := streamSkipping(t, p, "f")
+	var f *ir.Func
+	for _, fn := range p.Funcs {
+		if fn.Name == "f" {
+			f = fn
+		}
+	}
+	startInF := binary.AppendUvarint(append([]byte(nil), skip[:trace.HeaderSize]...), uint64(f.Entry().ID)+1)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"callee skipped", skip}, {"starts in f", startInF}} {
+		reg := telemetry.New()
+		sinks := trace.Multi{&recorder{}, fp.NewGraph(p), opt.NewGraph(p, opt.Full(), nil, nil)}
+		err := trace.ReplayWith(p, bytes.NewReader(c.data), sinks, trace.NewMetrics(reg))
+		if err == nil || !strings.Contains(err.Error(), "cannot run after") {
+			t.Fatalf("%s: err = %v, want a control-flow error", c.name, err)
+		}
+		if got := reg.Counter("trace.read.err.bad_block").Value(); got != 1 {
+			t.Fatalf("%s: bad_block = %d, want 1", c.name, got)
+		}
+	}
+
+	d := trace.NewDecoder(p, bytes.NewReader(skip[trace.HeaderSize:]), 0)
+	for {
+		ev, err := d.Next()
+		if err != nil {
+			t.Fatalf("mid-file decoder: %v", err)
+		}
+		if ev.Kind == trace.EvEnd {
+			break
+		}
+	}
+}

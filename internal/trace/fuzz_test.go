@@ -44,6 +44,7 @@ func FuzzTraceReader(f *testing.F) {
 	corrupt[0] ^= 0xFF
 	f.Add(corrupt)
 	f.Add(append(append([]byte(nil), good[:trace.HeaderSize]...), 0xFF, 0xFF, 0x7F))
+	f.Add(streamSkipping(f, p, "f"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"dynslice/internal/ir"
 )
@@ -48,8 +49,13 @@ type Decoder struct {
 	// wm is the address watermark under ir's frame rule, tracked from
 	// the header on: every use, def and region address must lie in
 	// [ir.GlobalBase, wm). Zero for mid-file decoders, which start
-	// without the frame history and leave addresses unchecked.
+	// without the frame history and leave addresses and control flow
+	// unchecked.
 	wm int64
+	// Control flow, tracked alongside wm: the previous block record and
+	// the continuations of the calls not yet returned from.
+	prev  *ir.Block
+	conts []*ir.Block
 }
 
 // NewDecoder returns a decoder reading from r. startOrd is the ordinal of
@@ -201,7 +207,14 @@ func (d *Decoder) Next() (Event, error) {
 		}
 		return Event{}, fmt.Errorf("trace: bad block id %d", id)
 	}
-	d.blk = d.p.Blocks[id]
+	b := d.p.Blocks[id]
+	if d.wm != 0 && !d.follows(b) {
+		if d.met != nil {
+			d.met.ErrBadBlock.Inc()
+		}
+		return Event{}, fmt.Errorf("trace: block %s cannot run after %v", b, d.prev)
+	}
+	d.blk = b
 	d.stmtIdx = 0
 	if d.met != nil {
 		d.met.BlocksRead.Inc()
@@ -209,6 +222,41 @@ func (d *Decoder) Next() (Event, error) {
 	ev := Event{Kind: EvBlock, Block: d.blk, Ord: d.ord}
 	d.ord++
 	return ev, nil
+}
+
+// follows reports whether b can run right after the previous block
+// record, and then makes b the previous one. The first record must be
+// main's entry; after a call block comes the callee's entry, and the
+// call's continuation waits on a stack until the matching return block,
+// which it must follow; after any other block comes one of its
+// successors. A stream that breaks this would have the builders run a
+// block in another function's frame.
+func (d *Decoder) follows(b *ir.Block) bool {
+	var t *ir.Stmt
+	if d.prev != nil {
+		t = d.prev.Terminator()
+	}
+	switch {
+	case d.prev == nil:
+		if b != d.p.Main.Entry() {
+			return false
+		}
+	case t != nil && t.Op == ir.OpCall:
+		if b != t.Callee.Entry() {
+			return false
+		}
+		d.conts = append(d.conts, d.prev.Succs[0])
+	case t != nil && t.Op == ir.OpReturn:
+		n := len(d.conts)
+		if n == 0 || d.conts[n-1] != b {
+			return false
+		}
+		d.conts = d.conts[:n-1]
+	case !slices.Contains(d.prev.Succs, b):
+		return false
+	}
+	d.prev = b
+	return true
 }
 
 // Replay decodes the whole stream (header included) into a sink.

@@ -165,10 +165,15 @@ func pairedRatios(tb testing.TB, p *slicer.Program, a, b *telemetry.Registry, ro
 // tens of percent and a round's ratio by about ±8% (quartiles), so the
 // median takes enough rounds to sit within about 1.5% of the true ratio:
 // noisy rounds cannot move it, and a real slowdown of the disabled path
-// moves every round.
+// moves every round. Under the race detector it would time instrumented
+// code rather than the shipped disabled path, so it skips there; it gates
+// in `go test ./...` and `make overhead`.
 func TestOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("timing-sensitive; the race detector's instrumentation is not the shipped path")
 	}
 	p, err := slicer.Compile(overheadSrc)
 	if err != nil {

@@ -191,7 +191,6 @@ type Recording struct {
 	optCfg  opt.Config
 	hot     []*profile.PathProfile
 	cuts    *profile.Cuts
-	lastErr error
 
 	// Inputs of the instrumented run, kept so the re-execution backend
 	// and the lazy graph builds can regenerate it.
