@@ -42,6 +42,7 @@ fuzz-native:
 	$(GO) test -fuzz '^FuzzTraceReader$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz '^FuzzDecodeSegments$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -fuzz '^FuzzLabelsFindRoundTrip$$' -fuzztime 10s ./internal/slicing/opt/
+	$(GO) test -fuzz '^FuzzDecodeList$$' -fuzztime 10s ./internal/slicing/labelblock/
 	$(GO) test -fuzz '^FuzzSnapshotLoad$$' -fuzztime 10s ./internal/slicing/snapshot/
 	$(GO) test -fuzz '^FuzzSnapshotRead$$' -fuzztime 10s ./internal/slicing/snapshot/
 
@@ -57,10 +58,10 @@ bench:
 bench-parallel:
 	$(GO) run ./cmd/experiments -exp parallel
 
-# Memory-layout comparison: delta-varint label blocks vs the flat
-# -compact=false layout -> BENCH_memory.json. RunMemory fails the target
-# if OPT's compact resident label bytes exceed 0.5x the uncompacted
-# baseline or any slice differs between layouts.
+# Memory layout: FP and OPT labels as delta-varint blocks against the
+# flat-pair size model (16 B a pair, plus 4 B for FP's aux column) ->
+# BENCH_memory.json. RunMemory fails the target if OPT's compact label
+# bytes exceed 0.5x the model or any slice differs from LP's.
 bench-mem:
 	$(GO) run ./cmd/experiments -exp memory
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	slicer -src prog.mc [-input 1,2,3] [-algo opt|fp|lp] [-var g] [-addr n]
-//	       [-vars a,b,c] [-workers n] [-ir] [-stats] [-repl] [-compact=false]
+//	       [-vars a,b,c] [-workers n] [-ir] [-stats] [-repl]
 //	       [-explain line|sID] [-metrics out.json] [-timeline out.json]
 //	       [-pprof localhost:6060] [-querylog out.jsonl] [-slowms n]
 //	       [-qtrace out.jsonl] [-qtrace-slow ms] [-qtrace-sample n]
@@ -107,7 +107,6 @@ func main() {
 	dumpIR := flag.Bool("ir", false, "dump the lowered IR and exit")
 	showStats := flag.Bool("stats", false, "print graph statistics")
 	repl := flag.Bool("repl", false, "interactive mode: read criteria from stdin (var NAME | addr N | algo opt|fp|lp | quit)")
-	compact := flag.Bool("compact", true, "store dependence labels as delta-varint blocks (-compact=false keeps flat pairs)")
 	metricsOut := flag.String("metrics", "", "write a telemetry JSON snapshot to this file on exit")
 	explainSpec := flag.String("explain", "", "with -var/-addr: print a dependence-path witness for this slice statement (source line number, or s<ID> for a statement id) plus the query's traversal profile")
 	timelineOut := flag.String("timeline", "", "write a Chrome trace-event timeline (phase spans + pipeline worker activity) to this file on exit; open in chrome://tracing or Perfetto")
@@ -241,7 +240,7 @@ func main() {
 		check(fmt.Errorf("unknown -plan mode %q (use auto, fp, lp, opt, reexec, or forward)", *planMode))
 	}
 	rec, err := prog.Record(slicer.RunOptions{
-		Input: input, Telemetry: reg, PlainLabels: !*compact,
+		Input: input, Telemetry: reg,
 		QueryLog: qlog, QueryStats: qstats, QueryTrace: qtr,
 		// The forward index only exists if computed during the run, so
 		// build it whenever the forward backend could be asked for.

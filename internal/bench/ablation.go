@@ -32,7 +32,7 @@ func soloConfigs() []struct {
 		Name string
 		Cfg  opt.Config
 	} {
-		c := opt.Config{MinPathFreq: 1}
+		var c opt.Config
 		set(&c)
 		return struct {
 			Name string
@@ -77,7 +77,7 @@ func RunAblationSolo(w io.Writer, workloads []Workload) error {
 		full := float64(res.FP.LabelPairs())
 		fmt.Fprintf(w, "%-12s", wl.Name)
 		for _, c := range cfgs {
-			g := opt.NewGraph(res.P, c.Cfg, col.HotPaths(c.Cfg.MinPathFreq, 0), col.Cuts())
+			g := opt.NewGraph(res.P, c.Cfg, col.HotPaths(1, 0), col.Cuts())
 			f, err := os.Open(res.TracePath)
 			if err != nil {
 				return err
@@ -113,9 +113,7 @@ func RunAblationPathThreshold(w io.Writer, workloads []Workload) error {
 		full := float64(res.FP.LabelPairs())
 		fmt.Fprintf(w, "%-12s", wl.Name)
 		for _, th := range thresholds {
-			cfg := opt.Full()
-			cfg.MinPathFreq = th
-			g := opt.NewGraph(res.P, cfg, col.HotPaths(th, 0), col.Cuts())
+			g := opt.NewGraph(res.P, opt.Full(), col.HotPaths(th, 0), col.Cuts())
 			f, err := os.Open(res.TracePath)
 			if err != nil {
 				return err

@@ -13,31 +13,24 @@ import (
 	"dynslice/internal/slicing/opt"
 )
 
-// MemoryAlg is one algorithm's old-vs-new layout comparison: the same
-// trace built twice, once with the flat pre-compaction label layout
-// (-compact=false) and once with the delta-varint block layout, measuring
-// what the labels actually occupy rather than the paper's 16-bytes/pair
-// accounting model.
+// MemoryAlg is one algorithm's label storage: what the labels of the
+// graph built in the delta-varint block layout actually occupy, against
+// the flat-pair size model — 16 bytes per (Td, Tu) pair, plus 4 for FP's
+// aux column, what a flat slice of pairs spends.
 type MemoryAlg struct {
 	LabelPairs int64 `json:"label_pairs"`
 
-	PlainLabelBytes   int64   `json:"plain_label_bytes"`
+	FlatLabelBytes    int64   `json:"flat_label_bytes"` // the flat-pair model
 	CompactLabelBytes int64   `json:"compact_label_bytes"`
-	LabelRatio        float64 `json:"label_ratio"` // plain / compact, the headline
+	LabelRatio        float64 `json:"label_ratio"` // flat model / compact, the headline
 
-	PlainResidentBytes   int64   `json:"plain_resident_bytes"` // labels + edge/slot tables
-	CompactResidentBytes int64   `json:"compact_resident_bytes"`
-	PlainBytesPerDep     float64 `json:"plain_bytes_per_dep"`
+	CompactResidentBytes int64   `json:"compact_resident_bytes"` // labels + edge/slot tables
 	CompactBytesPerDep   float64 `json:"compact_bytes_per_dep"`
 
-	PlainHeapMB   float64 `json:"plain_heap_mb"` // live heap after build, a peak-RSS proxy
-	CompactHeapMB float64 `json:"compact_heap_mb"`
-
-	PlainBuildMs   float64 `json:"plain_build_ms"`
+	CompactHeapMB  float64 `json:"compact_heap_mb"` // live heap after build, a peak-RSS proxy
 	CompactBuildMs float64 `json:"compact_build_ms"`
-	BuildOverhead  float64 `json:"build_overhead"` // compact / plain wall time
 
-	IdenticalSlices bool `json:"identical_slices"`
+	IdenticalSlices bool `json:"identical_slices"` // every criterion's slice equals LP's
 }
 
 // MemoryBench is one workload's record in BENCH_memory.json.
@@ -50,18 +43,25 @@ type MemoryBench struct {
 
 const memoryReps = 3
 
-// RunMemory compares the compact dependence storage against the flat
-// escape-hatch layout on every workload and writes per-workload records
-// to outPath (cmd/experiments -exp memory). It fails if OPT's compact
-// resident label bytes exceed half the uncompacted baseline, or if any
-// slice differs between the two layouts.
+// Bytes per label pair in the flat layout: a (Td, Tu) pair of int64s,
+// and FP's int32 producing-statement column.
+const (
+	flatPairBytes = 16
+	flatAuxBytes  = 4
+)
+
+// RunMemory measures the compact dependence storage of FP and OPT on
+// every workload and writes per-workload records to outPath
+// (cmd/experiments -exp memory). It fails if OPT's compact label bytes
+// exceed half the flat-pair model, or if any slice differs from LP's,
+// which stores no labels.
 func RunMemory(w io.Writer, workloads []Workload, outPath string) error {
-	header(w, "Memory layout: delta-varint label blocks vs flat pairs",
+	header(w, "Memory layout: delta-varint label blocks vs the flat-pair model",
 		fmt.Sprintf("%-12s %12s %12s %7s %9s %9s %12s %12s %7s\n",
-			"Program", "fp-plain", "fp-compact", "fp-x", "B/dep", "opt-B/dep", "opt-plain", "opt-compact", "opt-x"))
+			"Program", "fp-flat", "fp-compact", "fp-x", "B/dep", "opt-B/dep", "opt-flat", "opt-compact", "opt-x"))
 	var out []MemoryBench
 	for _, wl := range workloads {
-		res, err := Build(wl, Options{})
+		res, err := Build(wl, Options{WithLP: true})
 		if err != nil {
 			return err
 		}
@@ -71,20 +71,20 @@ func RunMemory(w io.Writer, workloads []Workload, outPath string) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-12s %11dB %11dB %6.2fx %8.2fB %8.2fB %11dB %11dB %6.2fx\n",
-			wl.Name, mb.FP.PlainLabelBytes, mb.FP.CompactLabelBytes, mb.FP.LabelRatio,
+			wl.Name, mb.FP.FlatLabelBytes, mb.FP.CompactLabelBytes, mb.FP.LabelRatio,
 			mb.FP.CompactBytesPerDep, mb.OPT.CompactBytesPerDep,
-			mb.OPT.PlainLabelBytes, mb.OPT.CompactLabelBytes, mb.OPT.LabelRatio)
+			mb.OPT.FlatLabelBytes, mb.OPT.CompactLabelBytes, mb.OPT.LabelRatio)
 		for _, alg := range []struct {
 			name string
 			m    *MemoryAlg
 		}{{"fp", &mb.FP}, {"opt", &mb.OPT}} {
 			if !alg.m.IdenticalSlices {
-				return fmt.Errorf("memory %s: %s slices diverge between -compact on and off", wl.Name, alg.name)
+				return fmt.Errorf("memory %s: %s slices differ from LP's", wl.Name, alg.name)
 			}
 		}
-		if mb.OPT.LabelPairs > 0 && float64(mb.OPT.CompactLabelBytes) > 0.5*float64(mb.OPT.PlainLabelBytes) {
-			return fmt.Errorf("memory %s: opt compact label bytes %d > 0.5x plain %d",
-				wl.Name, mb.OPT.CompactLabelBytes, mb.OPT.PlainLabelBytes)
+		if float64(mb.OPT.CompactLabelBytes) > 0.5*float64(mb.OPT.FlatLabelBytes) {
+			return fmt.Errorf("memory %s: opt compact label bytes %d > 0.5x flat model %d",
+				wl.Name, mb.OPT.CompactLabelBytes, mb.OPT.FlatLabelBytes)
 		}
 		out = append(out, mb)
 	}
@@ -116,106 +116,71 @@ func measureMemory(res *Result) (MemoryBench, error) {
 	if err != nil {
 		return mb, err
 	}
-
-	buildFP := func(plain bool) (graphStats, time.Duration, error) {
-		g := fp.NewGraph(res.P)
-		g.SetPlainLabels(plain)
-		t0 := time.Now()
-		if err := replayFile(res, g); err != nil {
-			return nil, 0, err
-		}
-		return g, time.Since(t0), nil
+	crits := make([]slicing.Criterion, len(res.Crit))
+	for i, a := range res.Crit {
+		crits[i] = slicing.AddrCriterion(a)
 	}
-	buildOPT := func(plain bool) (graphStats, time.Duration, error) {
-		cfg := opt.Full()
-		cfg.PlainLabels = plain
-		g := opt.NewGraph(res.P, cfg, hot, cuts)
-		t0 := time.Now()
-		if err := replayFile(res, g); err != nil {
-			return nil, 0, err
-		}
-		return g, time.Since(t0), nil
-	}
-
-	if mb.FP, err = compareLayouts(res, buildFP); err != nil {
+	want, _, err := res.LP.SliceAll(crits)
+	if err != nil {
 		return mb, err
 	}
-	if mb.OPT, err = compareLayouts(res, buildOPT); err != nil {
+
+	buildFP := func() (graphStats, error) {
+		g := fp.NewGraph(res.P)
+		return g, replayFile(res, g)
+	}
+	buildOPT := func() (graphStats, error) {
+		g := opt.NewGraph(res.P, opt.Full(), hot, cuts)
+		return g, replayFile(res, g)
+	}
+
+	if mb.FP, err = measureGraph(res, want, flatPairBytes+flatAuxBytes, buildFP); err != nil {
+		return mb, err
+	}
+	if mb.OPT, err = measureGraph(res, want, flatPairBytes, buildOPT); err != nil {
 		return mb, err
 	}
 	return mb, nil
 }
 
-// compareLayouts builds the plain and compact variants of one algorithm's
-// graph and fills a MemoryAlg. Timing reps interleave the two layouts
-// (best-of-memoryReps each, GC before every rep, no graph retained across
-// a timed build) so clock drift and GC debt land on both sides equally;
-// byte and heap figures then come from one untimed build per layout, the
-// plain graph released before the compact one so the two heap readings
-// are comparable.
-func compareLayouts(res *Result, build func(plain bool) (graphStats, time.Duration, error)) (MemoryAlg, error) {
+// measureGraph builds one algorithm's graph memoryReps times (GC before
+// every build, no graph retained across one) for the best build time,
+// reads its bytes and the live heap off the last build, and checks its
+// slices against want. flatBytes is the flat model's cost per pair.
+func measureGraph(res *Result, want []*slicing.Slice, flatBytes int64, build func() (graphStats, error)) (MemoryAlg, error) {
 	var m MemoryAlg
-
-	plainTime := time.Duration(1 << 62)
-	compactTime := time.Duration(1 << 62)
+	var g graphStats
+	best := time.Duration(1 << 62)
 	for rep := 0; rep < memoryReps; rep++ {
-		for _, plainRep := range []bool{true, false} {
-			runtime.GC()
-			_, d, err := build(plainRep)
-			if err != nil {
-				return m, err
-			}
-			if plainRep {
-				plainTime = min(plainTime, d)
-			} else {
-				compactTime = min(compactTime, d)
-			}
+		g = nil
+		runtime.GC()
+		t0 := time.Now()
+		var err error
+		if g, err = build(); err != nil {
+			return m, err
 		}
+		best = min(best, time.Since(t0))
 	}
-
-	plain, _, err := build(true)
-	if err != nil {
-		return m, err
-	}
-	m.LabelPairs = plain.LabelPairs()
-	m.PlainLabelBytes = plain.LabelBytes()
-	m.PlainResidentBytes = plain.ResidentBytes()
-	m.PlainBuildMs = ms(plainTime)
-	m.PlainHeapMB = liveHeapMB()
-	plainSlices, err := sliceLoop(plain, res.Crit)
-	if err != nil {
-		return m, err
-	}
-	plain = nil
-
-	compact, _, err := build(false)
-	if err != nil {
-		return m, err
-	}
-	m.CompactLabelBytes = compact.LabelBytes()
-	m.CompactResidentBytes = compact.ResidentBytes()
-	m.CompactBuildMs = ms(compactTime)
+	m.LabelPairs = g.LabelPairs()
+	m.FlatLabelBytes = m.LabelPairs * flatBytes
+	m.CompactLabelBytes = g.LabelBytes()
+	m.CompactResidentBytes = g.ResidentBytes()
+	m.CompactBuildMs = ms(best)
 	m.CompactHeapMB = liveHeapMB()
-	compactSlices, err := sliceLoop(compact, res.Crit)
+	got, err := sliceLoop(g, res.Crit)
 	if err != nil {
 		return m, err
 	}
 
 	if m.CompactLabelBytes > 0 {
-		m.LabelRatio = float64(m.PlainLabelBytes) / float64(m.CompactLabelBytes)
+		m.LabelRatio = float64(m.FlatLabelBytes) / float64(m.CompactLabelBytes)
 	}
 	if m.LabelPairs > 0 {
-		m.PlainBytesPerDep = float64(m.PlainResidentBytes) / float64(m.LabelPairs)
 		m.CompactBytesPerDep = float64(m.CompactResidentBytes) / float64(m.LabelPairs)
 	}
-	if plainTime > 0 {
-		m.BuildOverhead = float64(compactTime) / float64(plainTime)
-	}
-	m.IdenticalSlices = true
-	for i := range plainSlices {
-		if !plainSlices[i].Equal(compactSlices[i]) {
-			m.IdenticalSlices = false
-		}
+	m.IdenticalSlices = len(got) == len(want)
+	for i := 0; m.IdenticalSlices && i < len(got); i++ {
+		m.IdenticalSlices = got[i].Equal(want[i])
 	}
 	return m, nil
 }

@@ -27,7 +27,6 @@ import (
 // Variant is one slicer configuration in the differential matrix.
 type Variant struct {
 	Alg       string // "FP", "OPT", "LP", "forward", "reexec", "plan"
-	Plain     bool   // flat label storage (-compact=false)
 	Pipelined bool   // build via trace.Async on a worker goroutine
 	Hybrid    bool   // OPT only: disk-epoch mode with an aggressive budget
 	// Snapshot (FP/OPT) answers criteria from a graph that was serialized
@@ -47,11 +46,6 @@ func (v Variant) Name() string {
 	s := v.Alg
 	switch v.Alg {
 	case "FP", "OPT":
-		if v.Plain {
-			s += "/plain"
-		} else {
-			s += "/compact"
-		}
 		if v.Pipelined {
 			s += "/pipe"
 		} else {
@@ -70,25 +64,21 @@ func (v Variant) Name() string {
 	return s
 }
 
-// FullMatrix is the complete configuration matrix the tentpole checks:
-// FP x {compact,plain} x {seq,pipe}, OPT additionally x {hybrid,resident},
-// plus LP, the forward slicer, the checkpoint re-execution backend
-// (single and batched), and the cost-based planner dispatching over all
-// of them, plus batched work-stealing SliceAll variants (multi-worker
-// FP/OPT, hybrid OPT, and the LP shared scan). Every variant is
-// compared against the brute-force oracle.
+// FullMatrix is the complete configuration matrix: FP x {seq,pipe},
+// OPT x {seq,pipe} x {resident,hybrid}, plus LP, the forward slicer, the
+// checkpoint re-execution backend (single and batched), and the
+// cost-based planner dispatching over all of them, plus batched
+// work-stealing SliceAll variants (multi-worker FP/OPT, hybrid OPT, and
+// the LP shared scan). Every variant is compared against the
+// brute-force oracle.
 func FullMatrix() []Variant {
 	var vs []Variant
-	for _, plain := range []bool{false, true} {
-		for _, pipe := range []bool{false, true} {
-			vs = append(vs, Variant{Alg: "FP", Plain: plain, Pipelined: pipe})
-		}
+	for _, pipe := range []bool{false, true} {
+		vs = append(vs, Variant{Alg: "FP", Pipelined: pipe})
 	}
-	for _, plain := range []bool{false, true} {
-		for _, pipe := range []bool{false, true} {
-			for _, hyb := range []bool{false, true} {
-				vs = append(vs, Variant{Alg: "OPT", Plain: plain, Pipelined: pipe, Hybrid: hyb})
-			}
+	for _, pipe := range []bool{false, true} {
+		for _, hyb := range []bool{false, true} {
+			vs = append(vs, Variant{Alg: "OPT", Pipelined: pipe, Hybrid: hyb})
 		}
 	}
 	vs = append(vs,
@@ -112,15 +102,16 @@ func FullMatrix() []Variant {
 	return vs
 }
 
-// QuickMatrix is a reduced matrix for per-exec fuzz targets: one FP, the
-// three interesting OPT corners plus the batched scheduler, LP, and
-// forward.
+// QuickMatrix is a reduced matrix for per-exec fuzz targets: FP and OPT
+// built inline and pipelined through trace.Async (as Record builds OPT),
+// hybrid and batched OPT, both graphs through a snapshot, LP, forward,
+// re-execution and the planner.
 func QuickMatrix() []Variant {
 	return []Variant{
 		{Alg: "FP"},
-		{Alg: "FP", Plain: true},
+		{Alg: "FP", Pipelined: true},
 		{Alg: "OPT"},
-		{Alg: "OPT", Plain: true, Pipelined: true},
+		{Alg: "OPT", Pipelined: true},
 		{Alg: "OPT", Hybrid: true},
 		{Alg: "OPT", Batch: 8},
 		{Alg: "FP", Snapshot: true},
@@ -344,8 +335,8 @@ func Check(src string, input []int64, o Options) (*Result, error) {
 	var variants []variantSlicer
 	var asyncs []*trace.Async
 	// planFP/planOPT are resident graphs the plan variant reuses as its
-	// warm graph backends (the first plain-free, unpipelined instance of
-	// each — any instance computes identical slices).
+	// warm graph backends (the first unpipelined instance of each — any
+	// instance computes identical slices).
 	var planFP, planOPT slicing.Slicer
 	needRx := false
 	for _, v := range o.variants() {
@@ -363,16 +354,13 @@ func Check(src string, input []int64, o Options) (*Result, error) {
 		switch v.Alg {
 		case "FP":
 			g := fp.NewGraph(p)
-			g.SetPlainLabels(v.Plain)
-			if planFP == nil && !v.Plain && !v.Pipelined {
+			if planFP == nil && !v.Pipelined {
 				planFP = g
 			}
 			sink, sl = g, g
 		case "OPT":
-			cfg := opt.Full()
-			cfg.PlainLabels = v.Plain
-			g := opt.NewGraph(p, cfg, hot, cuts)
-			if planOPT == nil && !v.Plain && !v.Pipelined && !v.Hybrid {
+			g := opt.NewGraph(p, opt.Full(), hot, cuts)
+			if planOPT == nil && !v.Pipelined && !v.Hybrid {
 				planOPT = g
 			}
 			if v.Hybrid {

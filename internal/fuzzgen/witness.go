@@ -22,11 +22,10 @@ import (
 
 // witnessTarget reports whether variant v participates in witness
 // validation: the OPT configurations whose graph answers observed
-// queries directly (resident and hybrid; the pipelined and plain-label
-// builds share the same traversal code, so re-checking them buys
-// nothing per subject).
+// queries directly (resident and hybrid; the pipelined builds share the
+// same traversal code, so re-checking them buys nothing per subject).
 func witnessTarget(v Variant) bool {
-	return v.Alg == "OPT" && !v.Plain && !v.Pipelined
+	return v.Alg == "OPT" && !v.Pipelined
 }
 
 // justified reports whether one witness hop names a dependence the

@@ -130,7 +130,7 @@ func TestOneSeedRun(t *testing.T) {
 // expansions at once — and the run reports the tables' block hits, no
 // more than the lookups made.
 func TestWorkerCursorTables(t *testing.T) {
-	l := labelblock.NewList(false, false)
+	l := labelblock.NewList(false)
 	for i := int64(0); i < 4*labelblock.BlockSize; i++ {
 		l.Append(nil, labelblock.Pair{Td: i, Tu: i}, 0)
 	}

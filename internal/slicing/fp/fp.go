@@ -75,9 +75,8 @@ type Graph struct {
 	// slotOff[len(p.Stmts)]+b.
 	slotOff []int32
 
-	mem   *labelblock.Arena
-	plain bool // -compact=false escape hatch: flat []Pair tails, no blocks
-	enc   *labelblock.Encoder
+	mem *labelblock.Arena
+	enc *labelblock.Encoder
 
 	workers atomic.Int32 // batched-query pool bound; 0 = GOMAXPROCS
 
@@ -129,7 +128,7 @@ func NewGraph(p *ir.Program) *Graph {
 		mem:      labelblock.NewArena(),
 	}
 	for i := range g.cdEdges {
-		g.cdEdges[i] = labelblock.NewList(false, true)
+		g.cdEdges[i] = labelblock.NewList(true)
 	}
 	return g
 }
@@ -145,21 +144,9 @@ func useSlotOffsets(p *ir.Program) []int32 {
 	return off
 }
 
-// SetPlainLabels disables block compaction (the -compact=false escape
-// hatch): labels stay in flat uncompressed slices laid out exactly as the
-// previous representation stored them. Must be called before feeding the
-// trace.
-func (g *Graph) SetPlainLabels(on bool) {
-	g.plain = on
-	for i := range g.cdEdges {
-		g.cdEdges[i] = labelblock.NewList(on, true)
-	}
-}
-
 // SetParallelEncode enables epoch-parallel construction: filled label
 // epochs are sealed by n encode workers (n <= 0: GOMAXPROCS) off the
-// resolver's critical path. Must be called before feeding the trace;
-// incompatible with SetPlainLabels (plain lists never seal).
+// resolver's critical path. Must be called before feeding the trace.
 func (g *Graph) SetParallelEncode(n int) {
 	g.enc = labelblock.NewEncoder(n)
 }
@@ -208,7 +195,7 @@ func (g *Graph) Stmt(s *ir.Stmt, uses, defs []int64) {
 	if g.useEdges[s.ID] == nil && len(s.Uses) > 0 {
 		slots := make([]labelblock.List, len(s.Uses))
 		for i := range slots {
-			slots[i] = labelblock.NewList(g.plain, true)
+			slots[i] = labelblock.NewList(true)
 		}
 		g.useEdges[s.ID] = slots
 	}

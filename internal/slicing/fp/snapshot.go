@@ -26,11 +26,6 @@ func (g *Graph) AppendSnapshot(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(g.ts))
 	dst = binary.AppendUvarint(dst, uint64(g.dataPairs))
 	dst = binary.AppendUvarint(dst, uint64(g.cdPairs))
-	if g.plain {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
 
 	// Last-definition table, dense: the slot count, then per address its
 	// ordinal plus one (0: never defined) and, when defined, the
@@ -83,11 +78,6 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	g.ts = int64(ts)
 	g.dataPairs = int64(dp)
 	g.cdPairs = int64(cp)
-	if len(data) == 0 {
-		return nil, labelblock.Corrupt(labelblock.ClassTruncated, "fp: data ends before plain flag")
-	}
-	g.plain = data[0] != 0
-	data = data[1:]
 
 	nDefs, data, err := snapUvarint(data, "lastDef slot count")
 	if err != nil {

@@ -77,8 +77,10 @@ func AppendBlocks(dst []byte, blocks []Block) []byte {
 
 // DecodeBlocks parses an AppendBlocks run from data, returning the blocks
 // and the unconsumed remainder. Block payloads alias data (zero-copy):
-// the caller must keep data reachable for the blocks' lifetime. Errors
-// are classified *CorruptError values.
+// the caller must keep data reachable for the blocks' lifetime. Only the
+// headers are validated — each block's range, and the order of the ranges
+// FindBlocks searches; a corrupt payload decodes short (see Block.Decode).
+// Errors are classified *CorruptError values.
 func DecodeBlocks(data []byte, hasAux bool) (blocks []Block, rest []byte, err error) {
 	count, data, err := decUvarint(data, "block count")
 	if err != nil {
@@ -110,6 +112,10 @@ func DecodeBlocks(data []byte, hasAux bool) (blocks []Block, rest []byte, err er
 		}
 		if int64(ft) > int64(lt) {
 			return nil, nil, corrupt(ClassBadBlock, "block range [%d, %d] inverted", int64(ft), int64(lt))
+		}
+		if len(blocks) > 0 && int64(ft) < blocks[len(blocks)-1].LastTu {
+			return nil, nil, corrupt(ClassBadBlock, "block range [%d, %d] starts before the previous block ends at %d",
+				int64(ft), int64(lt), blocks[len(blocks)-1].LastTu)
 		}
 		if sz, data, err = decUvarint(data, "block payload length"); err != nil {
 			return nil, nil, err
@@ -159,16 +165,19 @@ func decUvarint(data []byte, what string) (uint64, []byte, error) {
 	return v, data[n:], nil
 }
 
-// persistedFlags are the List flags that survive serialization; the
-// remaining bits are builder-transient.
-const persistedFlags = flagPlain | flagAux | flagDirty | flagStraddle | flagDedupe
+// sealedFlags are the List flags a serialized list may carry. Graphs
+// serialize their lists after Compact, which leaves none dirty or
+// straddling, and queries search a loaded list in place without sorting
+// it, so DecodeList rejects a record with any other bit.
+const sealedFlags = flagAux | flagDedupe
 
 // AppendList serializes a list — flags, sealed blocks, uncompressed tail
 // (with its aux column, when present) — for a graph snapshot section.
-// The list itself is not mutated, so frozen graphs serialize concurrently
-// with queries.
+// The list should be compacted: DecodeList rejects a dirty or straddling
+// one. The list itself is not mutated, so frozen graphs serialize
+// concurrently with queries.
 func AppendList(dst []byte, l *List) []byte {
-	dst = append(dst, l.flags&persistedFlags)
+	dst = append(dst, l.flags)
 	dst = AppendBlocks(dst, l.blocks)
 	dst = binary.AppendUvarint(dst, uint64(len(l.tail)))
 	prevTu := int64(0)
@@ -188,16 +197,17 @@ func AppendList(dst []byte, l *List) []byte {
 // DecodeList parses an AppendList record, returning the reconstructed
 // list and the unconsumed remainder. Sealed block payloads alias data
 // (the single-read snapshot load: blocks land directly in queryable form,
-// no per-label decode); the tail is small and copied out. Errors are
-// classified *CorruptError values.
+// no per-label decode); the tail is small and copied out. The list must
+// be sealed: a dirty or straddling flag, or a tail whose Tu decreases,
+// is bad_block. Errors are classified *CorruptError values.
 func DecodeList(data []byte) (List, []byte, error) {
 	var l List
 	if len(data) == 0 {
 		return l, nil, corrupt(ClassTruncated, "data ends before list flags")
 	}
 	flags := data[0]
-	if flags&^persistedFlags != 0 {
-		return l, nil, corrupt(ClassBadBlock, "unknown list flags %#x", flags)
+	if flags&^sealedFlags != 0 {
+		return l, nil, corrupt(ClassBadBlock, "list flags %#x: not a sealed list", flags)
 	}
 	l.flags = flags
 	data = data[1:]
@@ -232,6 +242,9 @@ func DecodeList(data []byte) (List, []byte, error) {
 				return l, nil, err
 			}
 			tu := prevTu + unzig(du)
+			if i > 0 && tu < prevTu {
+				return l, nil, corrupt(ClassBadBlock, "tail Tu %d after %d: tail not sorted", tu, prevTu)
+			}
 			l.tail[i] = Pair{Tu: tu, Td: tu - unzig(dd)}
 			prevTu = tu
 		}

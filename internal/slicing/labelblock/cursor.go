@@ -51,7 +51,9 @@ func (c *Cursor) find(l *List, tu int64) (td int64, aux int32, probes int64, fou
 			bi = -1
 			probes = 1 // the boundary comparison that rejected the sealed range
 		}
-		if bi >= 0 {
+		// A corrupt payload can decode to fewer pairs than the header's
+		// N, or to none; the search then covers what was decoded.
+		if bi >= 0 && len(c.pairs) > 0 {
 			i, p := gallop(c.pairs, int(c.at), tu)
 			probes += p
 			c.at = int32(min(i, len(c.pairs)-1))

@@ -109,7 +109,7 @@ func (l *List) AppendEnc(ar *Arena, enc *Encoder, p Pair, aux int32) {
 		l.aux = append(l.aux, aux)
 	}
 	l.n++
-	if !l.plain() && len(l.tail) >= BlockSize {
+	if len(l.tail) >= BlockSize {
 		l.sealAsync(ar, enc)
 	}
 }

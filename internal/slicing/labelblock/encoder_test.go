@@ -10,8 +10,8 @@ import (
 func appendStream(t *testing.T, pairs []Pair, aux []int32, withAux bool, workers int) (enc, inline List) {
 	t.Helper()
 	e := NewEncoder(workers)
-	enc = NewList(false, withAux)
-	inline = NewList(false, withAux)
+	enc = NewList(withAux)
+	inline = NewList(withAux)
 	for i, p := range pairs {
 		var a int32
 		if withAux {
@@ -102,7 +102,7 @@ func TestEncoderDrainSafety(t *testing.T) {
 	nilEnc.Drain() // must not panic
 
 	e := NewEncoder(2)
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize*3 + 9
 	for i := 0; i < n; i++ {
 		l.AppendEnc(nil, e, Pair{Td: int64(i), Tu: int64(i * 2)}, 0)
@@ -129,13 +129,13 @@ func TestEncoderDrainSafety(t *testing.T) {
 // a recycled table must start each run afresh: the same lookups cost the
 // same probes and hits.
 func TestCursorCacheFind(t *testing.T) {
-	l := NewList(false, true)
+	l := NewList(true)
 	n := BlockSize*4 + 21
 	for i := 0; i < n; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: int64(i*3 + 1)}, int32(i%5))
 	}
 	l.Seal(false)
-	l2 := NewList(false, false)
+	l2 := NewList(false)
 	for i := 0; i < BlockSize*2; i++ {
 		l2.Append(nil, Pair{Td: int64(i * 7), Tu: int64(i*5 + 2)}, 0)
 	}

@@ -90,10 +90,8 @@ func EncodeBlock(ar *Arena, pairs []Pair, aux []int32) Block {
 
 // Find locates the pair with the exact consumer timestamp tu by decoding
 // the block until the running Tu reaches tu. probes counts decoded
-// entries — the unit of search work in this layout. Note this differs
-// from the flat layout, which counts binary-search comparisons, so probe
-// totals are not comparable across -compact modes (documented in
-// docs/PERFORMANCE.md).
+// entries — the unit of search work for a block. A malformed varint ends
+// the search as Decode ends its walk, so the two see the same entries.
 func (b *Block) Find(tu int64) (td int64, aux int32, probes int64, found bool) {
 	if tu < b.FirstTu || tu > b.LastTu {
 		return 0, 0, 0, false
@@ -103,20 +101,27 @@ func (b *Block) Find(tu int64) (td int64, aux int32, probes int64, found bool) {
 	prevAux := int64(0)
 	for i := int32(0); i < b.N; i++ {
 		du, n := binary.Uvarint(data)
+		if n <= 0 {
+			break
+		}
 		data = data[n:]
-		curTu += int64(du)
 		dd, n := binary.Uvarint(data)
+		if n <= 0 {
+			break
+		}
 		data = data[n:]
-		probes++
-		var a int64
 		if b.HasAux {
 			da, n := binary.Uvarint(data)
+			if n <= 0 {
+				break
+			}
 			data = data[n:]
-			a = prevAux + unzig(da)
-			prevAux = a
+			prevAux += unzig(da)
 		}
+		curTu += int64(du)
+		probes++
 		if curTu == tu {
-			return curTu - unzig(dd), int32(a), probes, true
+			return curTu - unzig(dd), int32(prevAux), probes, true
 		}
 		if curTu > tu {
 			break
@@ -126,24 +131,35 @@ func (b *Block) Find(tu int64) (td int64, aux int32, probes int64, found bool) {
 }
 
 // Decode appends the block's pairs (and aux values, when present) to the
-// given slices; either destination may start nil.
+// given slices; either destination may start nil. A malformed varint ends
+// the walk, so a corrupt payload yields fewer than N pairs, never a
+// panic; pairs and aux values stay aligned.
 func (b *Block) Decode(dst []Pair, auxDst []int32) ([]Pair, []int32) {
 	data := b.Data
 	curTu := b.FirstTu
 	prevAux := int64(0)
 	for i := int32(0); i < b.N; i++ {
 		du, n := binary.Uvarint(data)
+		if n <= 0 {
+			break
+		}
 		data = data[n:]
-		curTu += int64(du)
 		dd, n := binary.Uvarint(data)
+		if n <= 0 {
+			break
+		}
 		data = data[n:]
-		dst = append(dst, Pair{Tu: curTu, Td: curTu - unzig(dd)})
 		if b.HasAux {
 			da, n := binary.Uvarint(data)
+			if n <= 0 {
+				break
+			}
 			data = data[n:]
 			prevAux += unzig(da)
 			auxDst = append(auxDst, int32(prevAux))
 		}
+		curTu += int64(du)
+		dst = append(dst, Pair{Tu: curTu, Td: curTu - unzig(dd)})
 	}
 	return dst, auxDst
 }
@@ -181,28 +197,20 @@ type List struct {
 
 // List flags.
 const (
-	flagPlain    uint8 = 1 << iota // compaction disabled: everything stays in tail
-	flagAux                        // carries the int32 aux column
+	flagAux      uint8 = 1 << iota // carries the int32 aux column
 	flagDirty                      // tail is unsorted (out-of-order append)
 	flagStraddle                   // sorted tail begins at or before the blocks' range
 	flagDedupe                     // drop exact duplicate pairs when sealing (shared lists)
 )
 
-// NewList returns a list. plain disables compaction (the -compact=false
-// escape hatch: pairs stay in a flat []Pair exactly as the previous
-// representation stored them); hasAux enables the int32 column.
-func NewList(plain, hasAux bool) List {
-	var f uint8
-	if plain {
-		f |= flagPlain
-	}
+// NewList returns an empty list; hasAux enables the int32 column.
+func NewList(hasAux bool) List {
 	if hasAux {
-		f |= flagAux
+		return List{flags: flagAux}
 	}
-	return List{flags: f}
+	return List{}
 }
 
-func (l *List) plain() bool  { return l.flags&flagPlain != 0 }
 func (l *List) hasAux() bool { return l.flags&flagAux != 0 }
 
 // SetDedupe marks the list as shared: sealing drops exact duplicate pairs
@@ -235,7 +243,7 @@ func (l *List) Append(ar *Arena, p Pair, aux int32) {
 		l.aux = append(l.aux, aux)
 	}
 	l.n++
-	if !l.plain() && len(l.tail) >= BlockSize {
+	if len(l.tail) >= BlockSize {
 		l.compressTail(ar, l.flags&flagDedupe != 0)
 		if l.tail == nil {
 			l.tail = ar.newTail()
@@ -247,7 +255,7 @@ func (l *List) Append(ar *Arena, p Pair, aux int32) {
 // after every existing block. dedupe drops exact duplicate pairs first
 // (shared cluster lists).
 func (l *List) compressTail(ar *Arena, dedupe bool) {
-	if len(l.tail) == 0 || l.plain() {
+	if len(l.tail) == 0 {
 		return
 	}
 	l.sortTail(dedupe)
@@ -339,10 +347,6 @@ func (l *List) Seal(dedupe bool) {
 // re-encoded into full blocks plus a short tail. Graph finalization calls
 // this for lists that a straggler left straddling or uncompressed.
 func (l *List) Repack(ar *Arena, dedupe bool) {
-	if l.plain() {
-		l.Seal(dedupe)
-		return
-	}
 	if len(l.blocks) == 0 && len(l.tail) < BlockSize {
 		l.Seal(dedupe)
 		return
@@ -372,18 +376,18 @@ func (l *List) Repack(ar *Arena, dedupe bool) {
 const minCompactTail = 8
 
 // Compact finalizes the list for read-only querying at maximum
-// compression: dirty or straddling lists are repacked into globally
-// sorted blocks, and a clean tail of at least minCompactTail pairs is
-// sealed. dedupe applies the shared-list duplicate drop.
+// compression: a clean tail of at least minCompactTail pairs is sealed,
+// and dirty or straddling lists — a clean tail that reaches back into
+// the sealed range straddles once it tries to seal — are repacked into
+// globally sorted blocks. dedupe applies the shared-list duplicate drop.
+// A compacted list is sealed: neither dirty nor straddling, the state
+// DecodeList requires of a serialized list.
 func (l *List) Compact(ar *Arena, dedupe bool) {
-	if l.plain() {
-		l.Seal(dedupe && l.Dirty())
-		return
+	if !l.Dirty() && l.flags&flagStraddle == 0 && len(l.tail) >= minCompactTail {
+		l.compressTail(ar, dedupe)
 	}
 	if l.Dirty() || l.flags&flagStraddle != 0 {
 		l.Repack(ar, dedupe)
-	} else if len(l.tail) >= minCompactTail {
-		l.compressTail(ar, dedupe)
 	}
 	l.shrinkTail(ar)
 }

@@ -67,7 +67,7 @@ func TestBlockNegativeTd(t *testing.T) {
 }
 
 func TestListAppendFindAcrossBlocks(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize*3 + 17
 	pairs := make([]Pair, 0, n)
 	for i := 0; i < n; i++ {
@@ -99,7 +99,7 @@ func TestListAppendFindAcrossBlocks(t *testing.T) {
 }
 
 func TestListStraddleAndRepack(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	// Fill one block [1000, ...], then append stragglers below FirstTu.
 	for i := 0; i < BlockSize; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: 1000 + int64(i)}, 0)
@@ -134,7 +134,7 @@ func TestListStraddleAndRepack(t *testing.T) {
 }
 
 func TestListDedupe(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	l.Append(nil, Pair{Td: 1, Tu: 10}, 0)
 	l.Append(nil, Pair{Td: 1, Tu: 10}, 0)
 	l.Append(nil, Pair{Td: 2, Tu: 5}, 0) // out of order
@@ -151,25 +151,8 @@ func TestListDedupe(t *testing.T) {
 	}
 }
 
-func TestListPlainEscapeHatch(t *testing.T) {
-	l := NewList(true, false)
-	n := BlockSize * 4
-	for i := 0; i < n; i++ {
-		l.Append(nil, Pair{Td: int64(i), Tu: int64(i * 2)}, 0)
-	}
-	if len(l.Blocks()) != 0 {
-		t.Fatalf("plain list compressed: %d blocks", len(l.Blocks()))
-	}
-	if l.Len() != n {
-		t.Fatalf("Len = %d want %d", l.Len(), n)
-	}
-	if td, _, _, ok := l.Find(10); !ok || td != 5 {
-		t.Fatalf("Find(10) = %d,%v", td, ok)
-	}
-}
-
 func TestListSplit(t *testing.T) {
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize*2 + 40
 	for i := 0; i < n; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: int64(i + 1)}, 0)
@@ -213,7 +196,7 @@ func TestListSplitShortTailStraddler(t *testing.T) {
 	// blocks are appended after the moved sealed blocks and the flushed
 	// sequence is unsorted and overlapping — FindBlocks then misses the
 	// straggler's pair permanently.
-	l := NewList(false, false)
+	l := NewList(false)
 	for i := 0; i < BlockSize; i++ {
 		l.Append(nil, Pair{Td: int64(i), Tu: 1100 + int64(i)}, 0)
 	}
@@ -240,7 +223,7 @@ func TestListSplitShortTailStraddler(t *testing.T) {
 }
 
 func TestWriteReadBlocks(t *testing.T) {
-	l := NewList(false, true)
+	l := NewList(true)
 	n := BlockSize + 30
 	for i := 0; i < n; i++ {
 		l.Append(nil, Pair{Td: int64(i * 3), Tu: int64(i*3 + 2)}, int32(i%5))
@@ -277,7 +260,7 @@ func TestWriteReadBlocks(t *testing.T) {
 
 func TestArenaRecycling(t *testing.T) {
 	ar := NewArena()
-	l := NewList(false, false)
+	l := NewList(false)
 	for i := 0; i < BlockSize*10; i++ {
 		l.Append(ar, Pair{Td: int64(i), Tu: int64(i)}, 0)
 	}
@@ -298,22 +281,22 @@ func TestArenaRecycling(t *testing.T) {
 func TestCompressionRatio(t *testing.T) {
 	// A loop-like dependence stream (small regular deltas) must compress
 	// far below 16 bytes/pair.
-	l := NewList(false, false)
+	l := NewList(false)
 	n := BlockSize * 8
 	for i := 0; i < n; i++ {
 		tu := int64(i*7 + 3)
 		l.Append(nil, Pair{Td: tu - 5, Tu: tu}, 0)
 	}
-	plain := int64(n * 16)
-	if got := l.MemBytes(); got*2 > plain {
-		t.Fatalf("MemBytes = %d, want < half of plain %d", got, plain)
+	flat := int64(n * 16)
+	if got := l.MemBytes(); got*2 > flat {
+		t.Fatalf("MemBytes = %d, want < half of flat pairs' %d", got, flat)
 	}
 }
 
 func TestListRandomizedFind(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		l := NewList(false, false)
+		l := NewList(false)
 		var ref []Pair
 		tu := int64(0)
 		n := rng.Intn(BlockSize * 4)

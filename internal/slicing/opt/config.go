@@ -57,20 +57,6 @@ type Config struct {
 	// inference is verified during construction; disagreeing executions
 	// fall back to explicit labels.
 	AdaptiveDeltas bool
-
-	// PlainLabels disables the delta-varint block compression of label
-	// lists and stores flat []Pair slices instead — the -compact=false
-	// escape hatch, kept as the uncompacted baseline for the memory
-	// experiment. The zero value (false) means compact storage, so every
-	// existing Config keeps the new layout by default.
-	PlainLabels bool
-
-	// MinPathFreq is the minimum profile frequency for a Ball-Larus path
-	// to be specialized (the paper specializes every path with non-zero
-	// frequency, i.e. 1).
-	MinPathFreq int64
-	// MaxPathsPerFunc caps specialization per function (0 = unlimited).
-	MaxPathsPerFunc int
 }
 
 // Full returns the configuration with every optimization enabled, the
@@ -86,7 +72,6 @@ func Full() Config {
 		ShareCDData:    true,
 		Shortcuts:      true,
 		AdaptiveDeltas: true,
-		MinPathFreq:    1,
 	}
 }
 
@@ -96,7 +81,7 @@ func Full() Config {
 // reproduction's adaptive-delta extension; shortcuts do not affect graph
 // size).
 func Stage(n int) Config {
-	c := Config{MinPathFreq: 1}
+	var c Config
 	if n >= 1 {
 		c.LocalDefUse = true
 	}

@@ -23,10 +23,10 @@ type Pair struct {
 // Labels is an append-ordered list of pairs, possibly shared between edges
 // of a simultaneity cluster (OPT-3 / OPT-6). Pairs arrive in Tu order
 // except when a recursive call suspends and resumes a superblock-node
-// execution, so lookups seal lazily on first use after an out-of-order
-// append. A shared list dedupes repeated pairs. Storage is the delta-varint
-// block encoding of labelblock (a plain flat []Pair under
-// Config.PlainLabels, the -compact=false escape hatch).
+// execution, so lookups need the list sealed first: Finalize compacts
+// every list, and a loaded list is sealed by construction (see
+// labelblock.DecodeList). A shared list dedupes repeated pairs. Storage
+// is the delta-varint block encoding of labelblock.
 type Labels struct {
 	id      int32 // index in the graph's label registry (epoch file key)
 	list    labelblock.List
@@ -55,20 +55,11 @@ func (l *Labels) AppendEnc(ar *labelblock.Arena, enc *labelblock.Encoder, p Pair
 	return true
 }
 
-// ensureSorted seals the list after out-of-order appends (deduping shared
-// lists, whose append-time dedupe out-of-order arrivals can defeat). A
-// no-op on clean lists, so post-Finalize lookups never mutate.
-func (l *Labels) ensureSorted() {
-	if l.list.Dirty() {
-		l.list.Seal(l.shared)
-	}
-}
-
 // Find returns the Td paired with tu: binary search over sealed blocks,
 // then a scan within one block. The second result counts label probes
-// (for traversal-cost accounting); found reports success.
+// (for traversal-cost accounting); found reports success. The list must
+// be sealed.
 func (l *Labels) Find(tu int64) (td int64, probes int64, found bool) {
-	l.ensureSorted()
 	td, _, probes, found = l.list.Find(tu)
 	return td, probes, found
 }
@@ -78,7 +69,6 @@ func (l *Labels) Find(tu int64) (td int64, probes int64, found bool) {
 // timestamps against the same hot lists; the cursor answers those from
 // one decoded block, each search starting where the previous one ended.
 func (l *Labels) findCursor(cc *labelblock.CursorCache, tu int64) (td int64, probes int64, found bool) {
-	l.ensureSorted()
 	td, _, probes, found = cc.Find(int(l.id), &l.list, tu)
 	return td, probes, found
 }
@@ -450,7 +440,7 @@ func (g *Graph) newLabels(shared, isCD bool) *Labels {
 	}
 	g.labelSlab = append(g.labelSlab, Labels{
 		id:     int32(len(g.allLabels)),
-		list:   labelblock.NewList(g.cfg.PlainLabels, false),
+		list:   labelblock.NewList(false),
 		shared: shared,
 		isCD:   isCD,
 	})

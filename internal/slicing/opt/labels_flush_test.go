@@ -56,8 +56,8 @@ func TestLabelsLenAfterFlush(t *testing.T) {
 	// duplicate must be dropped without double-counting flushed pairs.
 	l.Append(ar, Pair{Td: 7, Tu: 1014})
 	l.Append(ar, Pair{Td: 50, Tu: 1100})
-	l.Append(ar, Pair{Td: 7, Tu: 1014}) // non-immediate: survives until ensureSorted
-	l.ensureSorted()
+	l.Append(ar, Pair{Td: 7, Tu: 1014}) // non-immediate: survives until the seal
+	l.list.Seal(l.shared)
 	if l.Len() != 202 {
 		t.Fatalf("post-flush dedupe Len = %d, want 202", l.Len())
 	}
@@ -109,6 +109,7 @@ func FuzzLabelsFindRoundTrip(f *testing.F) {
 			order = append(order, tu)
 			l.Append(nil, Pair{Td: td, Tu: tu})
 		}
+		l.list.Seal(l.shared)
 		for u, d := range want {
 			got, _, ok := l.Find(u)
 			if !ok || got != d {

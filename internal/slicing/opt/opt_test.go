@@ -21,13 +21,14 @@ func TestLabelsFindSorted(t *testing.T) {
 	}
 }
 
-// TestLabelsOutOfOrder exercises the lazy re-sort triggered by recursive
-// superblock suspension.
+// TestLabelsOutOfOrder exercises the re-sort that sealing does after the
+// out-of-order appends of recursive superblock suspension.
 func TestLabelsOutOfOrder(t *testing.T) {
 	l := &Labels{}
 	l.Append(nil, Pair{Td: 1, Tu: 10})
 	l.Append(nil, Pair{Td: 2, Tu: 30})
 	l.Append(nil, Pair{Td: 3, Tu: 20}) // out of order
+	l.list.Seal(l.shared)
 	for _, c := range []struct{ tu, td int64 }{{10, 1}, {20, 3}, {30, 2}} {
 		td, _, ok := l.Find(c.tu)
 		if !ok || td != c.td {
@@ -44,10 +45,10 @@ func TestLabelsSharedDedupe(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("shared list has %d pairs, want 2", l.Len())
 	}
-	// Out-of-order duplicates get deduped during the lazy sort.
+	// Out-of-order duplicates get deduped when the list is sealed.
 	l.Append(nil, Pair{Td: 1, Tu: 3})
 	l.Append(nil, Pair{Td: 5, Tu: 7})
-	l.ensureSorted()
+	l.list.Seal(l.shared)
 	if l.Len() != 3 {
 		t.Fatalf("after sort-dedupe: %d pairs, want 3", l.Len())
 	}
@@ -69,6 +70,7 @@ func TestLabelsFindProperty(t *testing.T) {
 			seen[tu] = int64(i)
 			l.Append(nil, Pair{Td: int64(i), Tu: tu})
 		}
+		l.list.Seal(l.shared)
 		for tu, td := range seen {
 			got, _, ok := l.Find(tu)
 			if !ok || got != td {

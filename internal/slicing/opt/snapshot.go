@@ -43,7 +43,6 @@ const (
 	cfgShareCDData
 	cfgShortcuts
 	cfgAdaptiveDeltas
-	cfgPlainLabels
 )
 
 func (c Config) bits() uint64 {
@@ -62,7 +61,6 @@ func (c Config) bits() uint64 {
 	set(c.ShareCDData, cfgShareCDData)
 	set(c.Shortcuts, cfgShortcuts)
 	set(c.AdaptiveDeltas, cfgAdaptiveDeltas)
-	set(c.PlainLabels, cfgPlainLabels)
 	return b
 }
 
@@ -77,7 +75,6 @@ func configFromBits(b uint64) Config {
 		ShareCDData:    b&cfgShareCDData != 0,
 		Shortcuts:      b&cfgShortcuts != 0,
 		AdaptiveDeltas: b&cfgAdaptiveDeltas != 0,
-		PlainLabels:    b&cfgPlainLabels != 0,
 	}
 }
 
@@ -99,8 +96,6 @@ func (g *Graph) AppendSnapshot(dst []byte) ([]byte, error) {
 	slot := labelblock.UvarintLen(uint64(g.ts)) + labelblock.UvarintLen(uint64(len(g.nodes))) + labelblock.UvarintLen(uint64(maxStmts))
 	dst = slices.Grow(dst, int(g.ResidentBytes())+len(g.lastDef)*slot+64)
 	dst = binary.AppendUvarint(dst, g.cfg.bits())
-	dst = binary.AppendUvarint(dst, uint64(g.cfg.MinPathFreq))
-	dst = binary.AppendUvarint(dst, uint64(g.cfg.MaxPathsPerFunc))
 
 	// Specialized path set, as block-ID sequences in node order: NewGraph
 	// assigns path node IDs in iteration order over this list, so the
@@ -229,20 +224,10 @@ func LoadSnapshot(p *ir.Program, data []byte) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bits >= cfgPlainLabels<<1 {
+	if bits >= cfgAdaptiveDeltas<<1 {
 		return nil, labelblock.Corrupt(labelblock.ClassBadBlock, "opt: unknown config bits %#x", bits)
 	}
 	cfg := configFromBits(bits)
-	mpf, data, err := snapUvarint(data, "config MinPathFreq")
-	if err != nil {
-		return nil, err
-	}
-	mppf, data, err := snapUvarint(data, "config MaxPathsPerFunc")
-	if err != nil {
-		return nil, err
-	}
-	cfg.MinPathFreq = int64(mpf)
-	cfg.MaxPathsPerFunc = int(mppf)
 
 	nPaths, data, err := snapUvarint(data, "path count")
 	if err != nil {

@@ -18,9 +18,9 @@ import (
 //   - Input: the input vector and step budget — a different execution
 //     builds a different dyDG.
 //   - Config: the graph-shaping knobs (OPT stage selection, shortcuts,
-//     adaptive deltas, plain vs. compact labels, tracked criteria) plus
-//     the format version — anything that changes either the bytes on
-//     disk or the graph they decode into.
+//     adaptive deltas, tracked criteria) plus the format version —
+//     anything that changes either the bytes on disk or the graph they
+//     decode into.
 //
 // Two runs share a snapshot iff all three digests match; everything else
 // (telemetry, query logging, worker counts) is deliberately outside the

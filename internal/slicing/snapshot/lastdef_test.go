@@ -183,12 +183,9 @@ func lastDefOffset(t testing.TB, sec []byte, isOPT bool) int {
 		next() // timestamp counter
 		next() // data pairs
 		next() // control pairs
-		off++  // plain flag
 		return off
 	}
 	next() // config bits
-	next() // MinPathFreq
-	next() // MaxPathsPerFunc
 	for nPaths := next(); nPaths > 0; nPaths-- {
 		for n := next(); n > 0; n-- {
 			next()

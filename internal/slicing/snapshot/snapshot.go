@@ -48,7 +48,7 @@ var Magic = [4]byte{'D', 'Y', 'S', 'G'}
 // Version is the snapshot format version; it participates in the cache
 // key, so a format bump makes every old cache entry a clean miss rather
 // than a decode error.
-const Version byte = 3
+const Version byte = 4
 
 // Section ids.
 const (

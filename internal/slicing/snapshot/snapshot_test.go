@@ -254,10 +254,12 @@ func TestSectionCorruption(t *testing.T) {
 		}
 	})
 	t.Run("version", func(t *testing.T) {
-		mutated := clone()
-		mutated[4]++
-		if got := snapshot.Classify(load(t, mutated)); got != labelblock.ClassBadVersion {
-			t.Fatalf("Classify = %q, want %q", got, labelblock.ClassBadVersion)
+		for _, v := range []byte{snapshot.Version - 1, snapshot.Version + 1} {
+			mutated := clone()
+			mutated[4] = v
+			if got := snapshot.Classify(load(t, mutated)); got != labelblock.ClassBadVersion {
+				t.Fatalf("version %d: Classify = %q, want %q", v, got, labelblock.ClassBadVersion)
+			}
 		}
 	})
 	t.Run("directory", func(t *testing.T) {

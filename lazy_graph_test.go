@@ -232,37 +232,3 @@ func TestLazyFPRerunMismatch(t *testing.T) {
 		})
 	}
 }
-
-// TestLazyFPKeepsPlainLabels: Record's PlainLabels picks the label layout
-// of FP's lazy build, on a snapshot hit too.
-func TestLazyFPKeepsPlainLabels(t *testing.T) {
-	p, err := Compile(strings.Replace(lazySrc, "i < 30", "i < 600", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	labelBytes := map[string]int64{}
-	for _, c := range []struct {
-		name  string
-		plain bool
-		snap  SnapshotOptions
-	}{
-		{"compact", false, SnapshotOptions{}},
-		{"plain", true, SnapshotOptions{Dir: dir, Write: true}},
-		{"plain-hit", true, SnapshotOptions{Dir: dir, Read: true}},
-	} {
-		rec, err := p.Record(RunOptions{Input: lazyInput, PlainLabels: c.plain, Snapshot: c.snap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rec.Close()
-		g, err := rec.ensureFP()
-		if err != nil {
-			t.Fatal(err)
-		}
-		labelBytes[c.name] = g.LabelBytes()
-	}
-	if labelBytes["plain-hit"] != labelBytes["plain"] || labelBytes["plain"] <= labelBytes["compact"] {
-		t.Fatalf("FP label bytes %v: a snapshot hit must keep the plain layout, which is larger than the compact one", labelBytes)
-	}
-}

@@ -84,12 +84,6 @@ type RunOptions struct {
 	TraceDir string  // where the trace file is written (default: temp dir)
 	// OptConfig overrides the OPT configuration (default: opt.Full()).
 	OptConfig *opt.Config
-	// PlainLabels disables the delta-varint block compaction of dependence
-	// labels in the FP and OPT graphs (the -compact=false escape hatch;
-	// see docs/PERFORMANCE.md "Memory layout"). It holds for FP's lazy
-	// build too, on a snapshot hit included. Slices are identical either
-	// way.
-	PlainLabels bool
 	// Telemetry receives phase spans and pipeline counters for this
 	// recording and its slicers. Nil disables collection at near-zero
 	// cost (see docs/OBSERVABILITY.md).
@@ -128,22 +122,19 @@ type RunOptions struct {
 	// built lazily — by re-running the program, as FP always is — the
 	// first time an OPT query needs it. A rare-query workload answered by
 	// the re-execution or LP backend then never pays graph construction
-	// at all. Ignored when Snapshot.Write is set (the snapshot needs
-	// OPT). See docs/PLANNER.md.
+	// at all. Such a recording also captures one interpreter checkpoint
+	// per trace segment, the re-execution backend's resume points.
+	// Ignored when Snapshot.Write is set (the snapshot needs OPT). See
+	// docs/PLANNER.md.
 	DeferGraphs bool
-	// CheckpointEvery captures an interpreter checkpoint every N block
-	// executions during the instrumented run, giving the re-execution
-	// backend resume points (see internal/slicing/reexec). 0 picks a
-	// default (one checkpoint per trace segment) when DeferGraphs is
-	// set and disables capture otherwise; negative always disables.
-	CheckpointEvery int64
 	// Planner supplies the cost-based query planner consulted by
 	// Recording.Engine. Nil creates a fresh one seeded from this
 	// recording's features. See docs/PLANNER.md.
 	Planner *plan.Planner
 	// WithForward additionally computes the forward-slicing index during
 	// the instrumented run (precomputed slice sets; O(1) queries, no
-	// explain support). It becomes a planner candidate.
+	// explain support). It becomes a planner candidate. A snapshot hit
+	// has no instrumented run and carries no forward index.
 	WithForward bool
 }
 
@@ -197,9 +188,13 @@ type Recording struct {
 	input       []int64
 	maxSteps    int64
 	totalBlocks int64
-	fpPlain     bool
 	planner     *plan.Planner
 }
+
+// segmentBlocks is the trace segment length, in block executions, of a
+// recording's trace. A DeferGraphs recording captures one interpreter
+// checkpoint per segment.
+const segmentBlocks = 4096
 
 // Record runs the program twice — once to collect the Ball-Larus path
 // profile (as the paper does), once instrumented — building the OPT graph
@@ -219,12 +214,9 @@ func (p *Program) Record(o RunOptions) (*Recording, error) {
 }
 
 func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*Recording, error) {
-	rec := &Recording{p: p, optCfg: opt.Full(), tel: o.Telemetry, qlog: o.QueryLog, qstats: o.QueryStats, qtr: o.QueryTrace, source: "build"}
+	cfg := opt.Full()
 	if o.OptConfig != nil {
-		rec.optCfg = *o.OptConfig
-	}
-	if o.PlainLabels {
-		rec.optCfg.PlainLabels = true
+		cfg = *o.OptConfig
 	}
 	span := o.Telemetry.StartSpan("record")
 	defer span.End()
@@ -244,13 +236,13 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 			key = snapshot.Key{
 				Program: snapshot.HashProgram(p.ir),
 				Input:   snapshot.HashInput(o.Input, o.MaxSteps),
-				Config:  snapshot.HashConfig(configFingerprint(rec.optCfg, o.TrackCriteria)),
+				Config:  snapshot.HashConfig(configFingerprint(cfg, o.TrackCriteria)),
 			}
 		}
 	}
 	if cache != nil && o.Snapshot.Read {
 		lsp := qt.Root().Child("snapshot-load")
-		hit := p.loadSnapshot(cache, key, o, rec.optCfg, lsp)
+		hit := p.loadSnapshot(cache, key, o, cfg, lsp)
 		lsp.End()
 		if hit != nil {
 			out.CacheHit = true
@@ -268,8 +260,8 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	if err != nil {
 		return nil, fmt.Errorf("slicer: profiling run: %w", err)
 	}
-	rec.hot = col.HotPaths(1, 0)
-	rec.cuts = col.Cuts()
+	hot := col.HotPaths(1, 0)
+	cuts := col.Cuts()
 
 	dir := o.TraceDir
 	var tmp string
@@ -280,9 +272,8 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 		}
 		dir = tmp
 	}
-	rec.path = filepath.Join(dir, "run.trace")
-	tracePath := rec.path
-	rec.cleanup = func() {
+	tracePath := filepath.Join(dir, "run.trace")
+	cleanup := func() {
 		// The trace file may live in a caller-supplied directory; remove
 		// it explicitly before removing our own temp dir (if any).
 		os.Remove(tracePath)
@@ -295,20 +286,19 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	ok := false
 	defer func() {
 		if !ok {
-			rec.Close()
+			cleanup()
 		}
 	}()
-	f, err := os.Create(rec.path)
+	f, err := os.Create(tracePath)
 	if err != nil {
 		return nil, err
 	}
-	tw := trace.NewWriter(p.ir, f, 4096)
+	tw := trace.NewWriter(p.ir, f, segmentBlocks)
 	tw.SetMetrics(trace.NewMetrics(o.Telemetry))
 	// DeferGraphs skips the online OPT construction (OPT is then built on
 	// demand, like FP); a snapshot write needs OPT now, so it overrides
 	// the deferral.
 	deferred := o.DeferGraphs && !(cache != nil && o.Snapshot.Write)
-	rec.fpPlain = o.PlainLabels
 	sink := trace.Multi{tw}
 	var picker *trace.CritPicker
 	if o.TrackCriteria > 0 {
@@ -317,7 +307,7 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	var optG *opt.Graph
 	var aopt *trace.Async
 	if !deferred {
-		optG = opt.NewGraph(p.ir, rec.optCfg, rec.hot, rec.cuts)
+		optG = opt.NewGraph(p.ir, cfg, hot, cuts)
 		optG.SetTelemetry(o.Telemetry)
 		// The OPT builder runs as a pipelined Async sink: the interpreter
 		// batches events into pooled buffers and the builder consumes them
@@ -330,26 +320,23 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 		aopt = trace.NewAsync(optG, trace.PipelineConfig{Timeline: o.Telemetry.Timeline(), TimelineNames: []string{"opt-build"}})
 		sink = append(sink, aopt)
 	}
+	var fwd *forward.Slicer
 	if o.WithForward {
 		// The forward index builder stays inline like the picker: its
 		// per-event work is set arithmetic on interned IDs.
-		rec.fwd = forward.New(p.ir)
-		sink = append(sink, rec.fwd)
+		fwd = forward.New(p.ir)
+		sink = append(sink, fwd)
 	}
 	if picker != nil {
 		// Criterion tracking stays inline: the picker is cheap (two map
 		// stores per defining statement) and must see the full run.
 		sink = append(sink, picker)
 	}
-	// Checkpoint capture feeds the re-execution backend. The default
-	// Record path leaves it off; DeferGraphs turns it on (one checkpoint
-	// per trace segment) since re-execution is then the expected backend.
-	ckEvery := o.CheckpointEvery
-	if ckEvery == 0 && deferred {
-		ckEvery = 4096
-	}
-	if ckEvery < 0 {
-		ckEvery = 0
+	// Checkpoint capture feeds the re-execution backend, the expected
+	// one when the graphs are deferred.
+	var ckEvery int64
+	if deferred {
+		ckEvery = segmentBlocks
 	}
 	sp = span.Child("interp")
 	qsp = qt.Root().Child("interp")
@@ -377,39 +364,19 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	if tw.Err() != nil {
 		return nil, tw.Err()
 	}
-	rec.segs = tw.Segments()
+	segs := tw.Segments()
+	// Annotate the instrumented-run span with the trace I/O it produced.
+	if qt != nil {
+		qsp.Int("steps", res.Steps).Int("blocks", res.BlockExecs).Int("trace_segments", int64(len(segs)))
+	}
+	rec := p.newRecording(o, cfg, "build", res, segs)
+	rec.path, rec.cleanup = tracePath, cleanup
+	rec.hot, rec.cuts, rec.fwd = hot, cuts, fwd
 	if optG != nil {
 		rec.optG.set(optG)
 	}
-	// Annotate the instrumented-run span with the trace I/O it produced.
-	if qt != nil {
-		qsp.Int("steps", res.Steps).Int("blocks", res.BlockExecs).Int("trace_segments", int64(len(rec.segs)))
-	}
-	rec.lpS = lp.New(p.ir, rec.path, rec.segs)
+	rec.lpS = lp.New(p.ir, tracePath, segs)
 	rec.lpS.SetTelemetry(o.Telemetry)
-	rec.Output = res.Output
-	rec.Steps = res.Steps
-	rec.Return = res.ReturnValue
-	rec.input = o.Input
-	rec.maxSteps = o.MaxSteps
-	rec.totalBlocks = res.BlockExecs
-	rec.reexecS = reexec.New(p.ir, rec.segs, reexec.Options{
-		Input:       o.Input,
-		MaxSteps:    o.MaxSteps,
-		TotalBlocks: res.BlockExecs,
-		Checkpoints: res.Checkpoints,
-	})
-	rec.reexecS.SetTelemetry(o.Telemetry)
-	rec.planner = o.Planner
-	if rec.planner == nil {
-		rec.planner = plan.New()
-	}
-	rec.planner.Seed(plan.Features{
-		TraceBlocks: res.BlockExecs,
-		TraceSteps:  res.Steps,
-		Segments:    len(rec.segs),
-		IRStmts:     len(p.ir.Stmts),
-	})
 	if picker != nil {
 		rec.crit = picker.Pick(o.TrackCriteria)
 	}
@@ -420,12 +387,44 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	return rec, nil
 }
 
+// newRecording returns the recording of one run on o's input, made by
+// Record's instrumented run ("build") or loaded from a snapshot
+// ("snapshot"). res holds the run's outputs, its step and block counts
+// and its checkpoints, of which a load has none. Both paths get the
+// sinks o attaches, the re-execution backend and the planner seeded with
+// the run's features from here; the caller adds the graphs and, for a
+// build, the trace.
+func (p *Program) newRecording(o RunOptions, cfg opt.Config, source string, res *interp.Result, segs []*trace.Segment) *Recording {
+	rec := &Recording{
+		p: p, optCfg: cfg, source: source,
+		tel: o.Telemetry, qlog: o.QueryLog, qstats: o.QueryStats, qtr: o.QueryTrace,
+		Output: res.Output, Steps: res.Steps, Return: res.ReturnValue,
+		segs: segs, input: o.Input, maxSteps: o.MaxSteps, totalBlocks: res.BlockExecs,
+		planner: o.Planner,
+	}
+	rec.reexecS = reexec.New(p.ir, segs, reexec.Options{
+		Input:       o.Input,
+		MaxSteps:    o.MaxSteps,
+		TotalBlocks: res.BlockExecs,
+		Checkpoints: res.Checkpoints,
+	})
+	rec.reexecS.SetTelemetry(o.Telemetry)
+	if rec.planner == nil {
+		rec.planner = plan.New()
+	}
+	rec.planner.Seed(plan.Features{
+		TraceBlocks: res.BlockExecs,
+		TraceSteps:  res.Steps,
+		Segments:    len(segs),
+		IRStmts:     len(p.ir.Stmts),
+	})
+	return rec
+}
+
 // configFingerprint renders every knob that shapes the snapshot bytes —
 // the OPT graph and the tracked criteria — into the stable string the
-// cache key's Config digest covers. FP's label layout is absent: FP is
-// not in the image, and a hit builds it with its own Record call's
-// PlainLabels. Telemetry, logging, and build parallelism are absent too:
-// they do not change the graph.
+// cache key's Config digest covers. Telemetry, logging, and build
+// parallelism are absent: they do not change the graph.
 func configFingerprint(cfg opt.Config, trackCriteria int) string {
 	return fmt.Sprintf("opt=%+v|crit=%d", cfg, trackCriteria)
 }
@@ -461,42 +460,19 @@ func (p *Program) loadSnapshot(cache *snapshot.Cache, key snapshot.Key, o RunOpt
 		reg.Counter("snapshot.load.bytes").Add(fi.Size())
 	}
 	sp.Str("result", "hit").Int("bytes", fi.Size())
-	rec := &Recording{
-		p: p, optCfg: cfg, tel: o.Telemetry, qlog: o.QueryLog, qstats: o.QueryStats,
-		qtr:    o.QueryTrace,
-		source: "snapshot",
-		Output: img.Output, Steps: img.Steps, Return: img.Return, crit: img.Criteria,
-		segs: img.Segs,
-	}
-	img.OPT.SetTelemetry(o.Telemetry)
-	rec.optG.set(img.OPT)
 	// A snapshot persists OPT, not the trace — but the inputs are part of
 	// the cache key, so the program can be re-run: the re-execution
 	// backend regenerates any segment from scratch (no checkpoints
 	// survive the snapshot round-trip), and FP is built by a re-run on
 	// first use.
-	rec.input = o.Input
-	rec.maxSteps = o.MaxSteps
-	rec.fpPlain = o.PlainLabels
+	run := &interp.Result{Output: img.Output, Steps: img.Steps, ReturnValue: img.Return}
 	if n := len(img.Segs); n > 0 {
-		rec.totalBlocks = img.Segs[n-1].EndOrd
+		run.BlockExecs = img.Segs[n-1].EndOrd
 	}
-	rec.reexecS = reexec.New(p.ir, rec.segs, reexec.Options{
-		Input:       o.Input,
-		MaxSteps:    o.MaxSteps,
-		TotalBlocks: rec.totalBlocks,
-	})
-	rec.reexecS.SetTelemetry(o.Telemetry)
-	rec.planner = o.Planner
-	if rec.planner == nil {
-		rec.planner = plan.New()
-	}
-	rec.planner.Seed(plan.Features{
-		TraceBlocks: rec.totalBlocks,
-		TraceSteps:  img.Steps,
-		Segments:    len(img.Segs),
-		IRStmts:     len(p.ir.Stmts),
-	})
+	rec := p.newRecording(o, cfg, "snapshot", run, img.Segs)
+	rec.crit = img.Criteria
+	img.OPT.SetTelemetry(o.Telemetry)
+	rec.optG.set(img.OPT)
 	return rec
 }
 
@@ -650,7 +626,6 @@ func (l *lazyGraph[G]) state() (warm, ok bool) {
 func (r *Recording) ensureFP() (*fp.Graph, error) {
 	return r.fpG.get(func() (*fp.Graph, error) {
 		g := fp.NewGraph(r.p.ir)
-		g.SetPlainLabels(r.fpPlain)
 		g.SetTelemetry(r.tel)
 		if err := r.rerunInto("fp-deferred-build", g); err != nil {
 			return nil, fmt.Errorf("slicer: deferred FP build: %w", err)
@@ -725,7 +700,8 @@ func (r *Recording) Reexec() *Slicer {
 
 // Forward returns the forward-computed slicer (RunOptions.WithForward):
 // per-address slice sets precomputed during the run, answered by
-// lookup. Unavailable unless the recording was made WithForward.
+// lookup. Unavailable unless the recording's instrumented run was made
+// WithForward; a snapshot hit has none.
 func (r *Recording) Forward() *Slicer {
 	if r.fwd == nil {
 		return &Slicer{rec: r, name: "forward", impl: unavailableSlicer{errNoForward}}
@@ -735,7 +711,7 @@ func (r *Recording) Forward() *Slicer {
 
 var (
 	errNoReexec  = errors.New("slicer: re-execution backend unavailable for this recording")
-	errNoForward = errors.New("slicer: forward index not built (RunOptions.WithForward was off)")
+	errNoForward = errors.New("slicer: no forward index: the recording was made without RunOptions.WithForward, or loaded from a snapshot")
 )
 
 // loopMulti lifts a single-criterion slicer into MultiSlicer by

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	slicer "dynslice"
+	"dynslice/internal/slicing/opt"
 	"dynslice/internal/telemetry"
 	"dynslice/internal/telemetry/querylog"
 )
@@ -147,16 +148,17 @@ func TestSnapshotKeyMiss(t *testing.T) {
 	if second.Source() != "build" {
 		t.Fatal("different input must not hit the cache")
 	}
-	plain, err := p.Record(slicer.RunOptions{
-		Input: snapshotInput, PlainLabels: true,
+	stage := opt.Stage(3)
+	third, err := p.Record(slicer.RunOptions{
+		Input: snapshotInput, OptConfig: &stage,
 		Snapshot: slicer.SnapshotOptions{Dir: dir, Read: true, Write: false},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	if plain.Source() != "build" {
-		t.Fatal("different label layout must not hit the cache")
+	defer third.Close()
+	if third.Source() != "build" {
+		t.Fatal("different OPT configuration must not hit the cache")
 	}
 }
 
