@@ -20,9 +20,11 @@ test:
 
 # Race detection over the concurrent paths: the pipelined builders, the
 # batched slicers, the QueryEngine, the root façade, and the query
-# flight recorder.
+# flight recorder. The second run repeats the tests that take kernel
+# states from one graph's free list on many goroutines at once.
 test-race:
 	$(GO) test -race . ./internal/slicing/... ./internal/trace/... ./internal/telemetry/...
+	$(GO) test -race -count=10 -run 'Hammer|CursorTables|ConcurrentSlice' ./internal/slicing/batch/ ./internal/slicing/fp/ ./internal/slicing/opt/
 
 # Differential smoke gate: 500 generated programs, every sampled
 # criterion sliced through the full configuration matrix and compared
@@ -77,7 +79,9 @@ bench-explain:
 # target if the log ends up empty or any record is malformed (missing
 # ID, unknown backend/kind, implausible latency, no cache hits).
 bench-queries:
-	$(GO) run ./cmd/experiments -exp queries -workload li -queries-out $$(mktemp -u)
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp queries -workload li -queries-out $$dir/BENCH_queries.json; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # Persistent-snapshot smoke: save FP+OPT graph images for one small
 # workload, load them back, and compare against the trace-replay build.
@@ -85,7 +89,9 @@ bench-queries:
 # differently from the graphs it was saved from, or if loading is not at
 # least 5x faster than rebuilding from the trace (see PERFORMANCE.md).
 bench-snapshot:
-	$(GO) run ./cmd/experiments -exp snapshot -workload li -snapshot-out $$(mktemp -u)
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp snapshot -workload li -snapshot-out $$dir/BENCH_snapshot.json; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # Causal-tracing smoke: replay the interactive query pattern on one
 # small workload with the per-query tracer attached. RunQtrace fails
@@ -93,7 +99,9 @@ bench-snapshot:
 # deterministic 1-in-N prediction, any retained span tree is malformed,
 # or any traced query errors.
 bench-qtrace:
-	$(GO) run ./cmd/experiments -exp qtrace -workload li -qtrace-out $$(mktemp -u)
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp qtrace -workload li -qtrace-out $$dir/BENCH_qtrace.json; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # End-to-end benchmark smoke: every perfbench workload for a few ops,
 # traced and untraced, through the façade path. Fails on an unexpected
@@ -116,7 +124,9 @@ lint-metrics:
 # over the per-query best) exceeds 1.2, or any backend disagrees on a
 # slice (see docs/PLANNER.md).
 bench-planner:
-	$(GO) run ./cmd/experiments -exp planner -workload li -planner-out $$(mktemp -u)
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp planner -workload li -planner-out $$dir/BENCH_planner.json; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # Regression gate: regenerate the gated benchmark artifacts into a temp
 # directory and diff against bench/baselines (fails when the median

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	slicer -src prog.mc [-input 1,2,3] [-algo opt|fp|lp] [-var g] [-addr n]
-//	       [-vars a,b,c] [-workers n] [-ir] [-stats] [-repl]
+//	       [-vars a,b,c] [-ir] [-stats] [-repl]
 //	       [-explain line|sID] [-metrics out.json] [-timeline out.json]
 //	       [-pprof localhost:6060] [-querylog out.jsonl] [-slowms n]
 //	       [-qtrace out.jsonl] [-qtrace-slow ms] [-qtrace-sample n]
@@ -14,8 +14,8 @@
 // the dynamic slice of that location's final value: the source lines it
 // transitively depends on, via data and control dependences actually
 // exercised in this run. -vars takes a comma-separated list of globals
-// and answers them as ONE batched query (shared backward traversal),
-// dispatched over -workers concurrent workers (see docs/PERFORMANCE.md).
+// and answers them as ONE batched query (shared backward traversal; see
+// docs/PERFORMANCE.md).
 //
 // -explain runs the query as an observed traversal and additionally
 // prints the per-query profile (nodes visited, explicit vs inferred edge
@@ -102,7 +102,6 @@ func main() {
 	algo := flag.String("algo", "opt", "slicing algorithm: opt, fp, or lp")
 	varName := flag.String("var", "", "slice on the final value of this global variable")
 	varsCSV := flag.String("vars", "", "comma-separated globals: answer all of them as one batched query")
-	workers := flag.Int("workers", 0, "concurrent query workers for -vars (default 4)")
 	addr := flag.Int64("addr", -1, "slice on the final definition of this address")
 	dumpIR := flag.Bool("ir", false, "dump the lowered IR and exit")
 	showStats := flag.Bool("stats", false, "print graph statistics")
@@ -281,7 +280,7 @@ func main() {
 	}
 	var eng *slicer.QueryEngine
 	if auto {
-		eng = rec.Engine(slicer.EngineOptions{Workers: *workers})
+		eng = rec.Engine(slicer.EngineOptions{})
 	}
 
 	if *repl {
@@ -298,7 +297,7 @@ func main() {
 			addrs[i] = a
 		}
 		if !auto {
-			eng = s.Engine(slicer.EngineOptions{Workers: *workers})
+			eng = s.Engine(slicer.EngineOptions{})
 		}
 		slices, err := eng.SliceAddrs(addrs)
 		check(err)

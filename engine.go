@@ -14,22 +14,16 @@ import (
 
 // EngineOptions configures a QueryEngine.
 type EngineOptions struct {
-	// Workers bounds the worker pool a batched SliceAddrs traversal runs
-	// on (default: 4). The pool lives inside the backend's work-stealing
-	// scheduler, so concurrent workers share one visited table instead of
-	// re-walking subgraphs their siblings already covered; backends
-	// without a scheduler (LP's trace scan) answer the batch in one pass
-	// regardless.
+	// Workers is ignored: every backend answers a batch in one pass on
+	// the calling goroutine. It stays so that callers which still size a
+	// batch pool keep building.
 	Workers int
 	// CacheSize is the number of slices the LRU cache retains, keyed by
 	// criterion address (default: 64; negative disables caching).
 	CacheSize int
 }
 
-const (
-	defaultEngineWorkers = 4
-	defaultEngineCache   = 64
-)
+const defaultEngineCache = 64
 
 // QueryEngine answers slicing queries concurrently with a small LRU
 // result cache. All its methods are safe for concurrent use. Repeated
@@ -45,9 +39,8 @@ const (
 // it), so the shared cache and the planner only ever change latency,
 // never answers.
 type QueryEngine struct {
-	s       *Slicer    // fixed backend; nil for a planned engine
-	rec     *Recording // owning recording (always set)
-	workers int
+	s   *Slicer    // fixed backend; nil for a planned engine
+	rec *Recording // owning recording (always set)
 
 	mu    sync.Mutex
 	cache map[int64]*list.Element // addr -> entry; nil when disabled
@@ -80,10 +73,7 @@ func (r *Recording) Engine(o EngineOptions) *QueryEngine {
 }
 
 func newEngine(r *Recording, o EngineOptions) *QueryEngine {
-	e := &QueryEngine{rec: r, workers: o.Workers, max: o.CacheSize}
-	if e.workers <= 0 {
-		e.workers = defaultEngineWorkers
-	}
+	e := &QueryEngine{rec: r, max: o.CacheSize}
 	if e.max == 0 {
 		e.max = defaultEngineCache
 	}
@@ -116,7 +106,7 @@ var errNoBackend = errors.New("slicer: no backend available for this query")
 // cleanly for the rung that answered.
 func (e *QueryEngine) run(q *query, kind string, addrs []int64) ([]*Slice, *Explanation, string, error) {
 	if e.s != nil {
-		outs, ex, err := e.exec(q, e.s, kind, addrs)
+		outs, ex, err := e.s.exec(q, kind, addrs)
 		return outs, ex, e.s.name, err
 	}
 	d := e.rec.PlanFor(plan.Shape{Kind: kind, Batch: len(addrs)})
@@ -140,7 +130,7 @@ func (e *QueryEngine) run(q *query, kind string, addrs []int64) ([]*Slice, *Expl
 			reason = fmt.Sprintf("fallback from %s: %v", ladder[i-1], lastErr)
 		}
 		q.rung(reason, asp)
-		outs, ex, err := e.exec(q, s, kind, addrs)
+		outs, ex, err := s.exec(q, kind, addrs)
 		if err == nil {
 			asp.End()
 			return outs, ex, s.name, nil
@@ -153,15 +143,6 @@ func (e *QueryEngine) run(q *query, kind string, addrs []int64) ([]*Slice, *Expl
 		lastErr = err
 	}
 	return nil, nil, "", lastErr
-}
-
-// exec runs one backend call for q, first sizing a batch's worker pool
-// to the engine's.
-func (e *QueryEngine) exec(q *query, s *Slicer, kind string, addrs []int64) ([]*Slice, *Explanation, error) {
-	if sw, ok := s.impl.(interface{ SetWorkers(int) }); ok && kind == querylog.KindBatch {
-		sw.SetWorkers(e.workers)
-	}
-	return s.exec(q, kind, addrs)
 }
 
 // plannedCostOrder returns the cost map's backends in a stable order so
@@ -287,8 +268,7 @@ func (e *QueryEngine) ExplainVar(name string) (*Explanation, error) {
 
 // SliceAddrs answers a batch of criteria: cached results are returned
 // directly; the distinct misses are answered by ONE batched traversal
-// (SliceAddrs on the underlying slicer), parallelized internally by the
-// backend's work-stealing scheduler across the engine's workers. One
+// (SliceAddrs on the underlying slicer) on the calling goroutine. One
 // shared traversal beats splitting the batch across goroutines — split
 // chunks each re-walk the subgraph the criteria share, which is most of
 // the work. Results are positionally aligned with addrs. A planned

@@ -17,21 +17,22 @@ import (
 
 // ParallelBench is one (workload, GOMAXPROCS) record of the parallel
 // engine experiment: pipelined vs sequential graph construction, and the
-// paper's 25-criteria experiment answered by the batched work-stealing
-// SliceAll against a sequential per-criterion loop, on both the OPT graph
-// and the demand-driven LP slicer.
+// paper's 25-criteria experiment answered by one batched SliceAll against
+// a sequential per-criterion loop, on both the OPT graph and the
+// demand-driven LP slicer.
 //
 // The sequential baselines (seq_build_ms, opt_seq_slice_ms,
 // lp_seq_slice_ms) are always measured pinned to GOMAXPROCS=1 and are
 // repeated verbatim on every row of a workload, so each row's speedups
-// read directly as "parallel path at this GOMAXPROCS vs the sequential
-// baseline". The parallel contenders (pipelined build with epoch-parallel
-// label encoding, batched SliceAll on the work-stealing scheduler) run
-// under the row's GOMAXPROCS, with the scheduler's worker pool set to
-// match. Batching wins even at one worker — LP shares one backward scan,
-// OPT shares the visited table and memoized expansions across criteria —
-// and the per-setting rows show what the worker pool adds on top. See
-// docs/PERFORMANCE.md ("Batch scheduling") for how to read these numbers.
+// read directly as "contender at this GOMAXPROCS vs the sequential
+// baseline". The contenders run under the row's GOMAXPROCS: the
+// pipelined build (with epoch-parallel label encoding) uses the extra
+// procs; the batched SliceAll is one loop on the calling goroutine either
+// way, so its row-to-row spread is the runtime's (the garbage collector
+// runs beside it) and the host's noise. Batching wins on one proc — LP
+// shares one backward scan, OPT shares the visited state and memoized
+// expansions across criteria. See docs/PERFORMANCE.md ("Batch
+// scheduling") for how to read these numbers.
 type ParallelBench struct {
 	Name       string `json:"name"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -42,7 +43,7 @@ type ParallelBench struct {
 	BuildSpeedup float64 `json:"build_speedup"`
 
 	OPTSeqMs      float64 `json:"opt_seq_slice_ms"`   // criterion loop under GOMAXPROCS=1
-	OPTBatchMs    float64 `json:"opt_batch_slice_ms"` // one SliceAll call, workers = GOMAXPROCS
+	OPTBatchMs    float64 `json:"opt_batch_slice_ms"` // one SliceAll call
 	OPTBatchSpeed float64 `json:"opt_batch_speedup"`  // opt seq / batch
 
 	LPSeqMs      float64 `json:"lp_seq_slice_ms"`   // criterion loop under GOMAXPROCS=1
@@ -60,9 +61,9 @@ const parallelReps = 3
 
 // procSweep returns the GOMAXPROCS settings to measure: 1, 4, and the
 // machine's CPU count, deduplicated and ascending. GOMAXPROCS above
-// NumCPU is still measured — it exercises the scheduler's worker pool
-// and oversubscription behavior even when the hardware cannot run the
-// workers simultaneously.
+// NumCPU is still measured — it exercises the pipelined build's
+// oversubscription behavior even when the hardware cannot run its
+// goroutines simultaneously.
 func procSweep() []int {
 	set := map[int]bool{1: true, 4: true, runtime.NumCPU(): true}
 	var ps []int
@@ -199,8 +200,6 @@ func measureParallel(res *Result) ([]ParallelBench, error) {
 		pb.PipeBuildMs = ms(pipeBuild)
 		pb.BuildSpeedup = ratio(seqBuild, pipeBuild)
 
-		// Batched slicing with the scheduler's pool matched to the row.
-		res.OPT.SetWorkers(procs)
 		optBatch, optBatchSlices, err := timeSliceBatch(res.OPT, crit, parallelReps)
 		if err != nil {
 			runtime.GOMAXPROCS(old)
@@ -229,7 +228,6 @@ func measureParallel(res *Result) ([]ParallelBench, error) {
 		rows = append(rows, pb)
 		runtime.GOMAXPROCS(old)
 	}
-	res.OPT.SetWorkers(0)
 	return rows, nil
 }
 

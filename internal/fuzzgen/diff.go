@@ -33,11 +33,11 @@ type Variant struct {
 	// into an on-disk snapshot image and loaded back (the persistent dyDG
 	// cache round trip), instead of the resident graph the run built.
 	Snapshot bool
-	// Batch > 0 answers every criterion through one batched SliceAll with
-	// a worker pool of that size (the work-stealing scheduler for FP/OPT,
-	// the shared backward scan for LP) instead of per-criterion Slice
-	// calls — the batch results must still match the oracle slice for
-	// slice.
+	// Batch > 0 answers every criterion through one batched SliceAll (the
+	// multi-criterion kernel run for FP/OPT, the shared backward scan for
+	// LP) instead of per-criterion Slice calls — the batch results must
+	// still match the oracle slice for slice. The value only appears in
+	// the variant's name, which replay commands quote.
 	Batch int
 }
 
@@ -68,9 +68,8 @@ func (v Variant) Name() string {
 // OPT x {seq,pipe} x {resident,hybrid}, plus LP, the forward slicer, the
 // checkpoint re-execution backend (single and batched), and the
 // cost-based planner dispatching over all of them, plus batched
-// work-stealing SliceAll variants (multi-worker FP/OPT, hybrid OPT, and
-// the LP shared scan). Every variant is compared against the
-// brute-force oracle.
+// SliceAll variants (FP/OPT, hybrid OPT, and the LP shared scan). Every
+// variant is compared against the brute-force oracle.
 func FullMatrix() []Variant {
 	var vs []Variant
 	for _, pipe := range []bool{false, true} {
@@ -492,8 +491,8 @@ func Check(src string, input []int64, o Options) (*Result, error) {
 	out := &Result{Stmts: int(res.Steps), Criteria: len(addrs), Variants: len(variants)}
 
 	// Batched variants answer the whole criterion set through one
-	// SliceAll pass on the work-stealing scheduler; the per-criterion
-	// loop below then compares each precomputed answer slice for slice.
+	// SliceAll pass; the per-criterion loop below then compares each
+	// precomputed answer slice for slice.
 	batched := make(map[int][]*slicing.Slice)
 	if cs := make([]slicing.Criterion, len(addrs)); len(cs) > 0 {
 		for i, a := range addrs {
@@ -506,9 +505,6 @@ func Check(src string, input []int64, o Options) (*Result, error) {
 			ms, ok := vs.s.(slicing.MultiSlicer)
 			if !ok {
 				return nil, fmt.Errorf("fuzzgen: variant %s has no batched SliceAll", vs.v.Name())
-			}
-			if sw, ok := vs.s.(interface{ SetWorkers(int) }); ok {
-				sw.SetWorkers(vs.v.Batch)
 			}
 			outs, _, err := ms.SliceAll(cs)
 			if err != nil {

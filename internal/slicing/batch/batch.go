@@ -1,343 +1,317 @@
 // Package batch is the one traversal kernel of the FP and OPT slicers:
 // single, observed and batched queries (slicing.Slicer, slicing.Explainer,
 // slicing.MultiSlicer) all run here, a single query being the
-// one-criterion batch. Every traversal point carries a 64-bit criterion
-// mask in a sharded flat visited table, and the frontier runs on a
-// bounded work-stealing worker pool:
+// one-criterion batch. A run is one loop on the caller's goroutine over a
+// LIFO task stack, and every traversal point carries a 64-bit criterion
+// mask in visited state indexed by timestamp:
 //
-//   - Visited table: open-addressing shards (RWMutex-guarded buckets over
-//     slab-allocated entries that never move), one entry per traversal
-//     point. The 64-bit criterion mask on each entry is CAS-merged, so
-//     the hot path of a revisit is array indexing plus one atomic
-//     or-merge — no map hashing, no allocation.
-//   - Expansion memo: an entry that may be reached again with new
-//     criterion bits publishes its dependence expansion (the statements
-//     contributed and the downstream points reached) exactly once via an
-//     atomic pointer; racing workers compute independently but only the
-//     publishing winner's traversal stats are counted, so aggregate stats
-//     stay per-unique-point regardless of schedule.
-//   - Work stealing: each worker owns a deque, pushes and pops at its
-//     tail (LIFO keeps the traversal depth-first and cache-warm), and
-//     steals half a victim's queue from the head when empty. Termination
-//     is a global count of enqueued-but-unfinished tasks.
-//   - Label cursors: each worker searches label lists through its own
-//     cursor table (labelblock.CursorCache), indexed by the caller's list
-//     numbers and recycled across runs, so every lookup starts where the
-//     worker's previous lookup in that list ended.
-//   - One worker: a run with one seed (every single query) or a pool of
-//     one owns all of the above outright, so it takes no locks and no
-//     atomics, resolves into a reused expansion buffer, and recycles its
-//     one-shard table across runs.
-//   - Results: workers accumulate per-statement criterion masks in dense
-//     per-worker arrays, OR-merged after the pool drains — the output is
-//     a deterministic function of the reachable set, independent of the
-//     schedule or worker count.
+//   - Placement: the backend places every key. A timestamp is one
+//     execution (an FP block execution, an OPT node execution), and a
+//     point is a pair: the timestamp and the point's index among that
+//     execution's points. The key also gives the execution's width, its
+//     number of points.
+//   - Visited state: per timestamp, a run stamp and the offset of the
+//     execution's masks in a per-run arena, filled on the execution's
+//     first touch. A stale stamp means "not visited in this run", so
+//     nothing is hashed and nothing is cleared between runs. A key whose
+//     timestamp is out of range, or whose index does not fit the width
+//     first recorded at its timestamp, is dropped and counted.
+//   - Expansion memo: a point that may be reached again with new
+//     criterion bits keeps its expansion (the statements contributed and
+//     the downstream points reached) as a span of per-run append-only
+//     arenas, so it is resolved once per run.
+//   - Label cursors: a run searches label lists through its own cursor
+//     table (labelblock.CursorCache), indexed by the caller's list
+//     numbers, so every lookup starts where the previous lookup in that
+//     list ended.
+//   - Recycling: all of the above is one state per run, recycled per graph
+//     through a small free list (FreeList). Concurrent queries on one
+//     graph each take their own state.
 package batch
 
 import (
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"dynslice/internal/ir"
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/labelblock"
 )
 
-// Key identifies one traversal point. The packing is the caller's: FP uses
-// (statement, timestamp), OPT packs (node, statement copy, timestamp, use
-// slot). Equal keys must denote the same expansion.
+// Key is one traversal point as its backend places it. The kernel indexes
+// its visited state by (TS, Idx) and hands Ref back to Expand untouched.
+// Equal (TS, Idx) pairs must denote the same expansion.
 type Key struct {
-	K1, K2 uint64
+	Ref   uint64 // the backend's own identity of the point
+	TS    int64  // the execution the point belongs to
+	Idx   int32  // the point's index among the execution's points
+	Width int32  // how many points the execution has
 }
 
 // Expansion is the resolution of one traversal point: the statements it
 // contributes to every criterion that reaches it, and the downstream
-// points it leads to. Memoized expansions are published once per key and
-// then read-only.
+// points it leads to.
 type Expansion struct {
 	Stmts   []ir.StmtID
 	Targets []Key
 }
 
-// clone copies e out of a worker's reused buffer.
-func (e *Expansion) clone() *Expansion {
-	return &Expansion{Stmts: slices.Clone(e.Stmts), Targets: slices.Clone(e.Targets)}
-}
-
-// Counters reports scheduler-level work for telemetry.
+// Counters reports kernel-level work for telemetry.
 type Counters struct {
-	Steals      int64 // steal operations that moved at least one task
-	Merges      int64 // tasks coalesced by key before expansion (mask OR-merge)
-	Expansions  int64 // unique traversal points expanded
-	BlockHits   int64 // label lookups answered inside a block a cursor had decoded
-	WorkersUsed int   // workers the run actually started
+	Merges     int64 // adjacent tasks for one point coalesced before expansion (mask OR-merge)
+	Expansions int64 // unique traversal points expanded
+	BlockHits  int64 // label lookups answered inside a block a cursor had decoded
+	Dropped    int64 // keys outside [0, Timestamps) or outside their execution's width
 }
 
-// Config configures one batched traversal.
+// Config configures one graph's traversal.
 type Config struct {
-	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0). A batch
-	// never uses more workers than it has seed tasks, so a one-criterion
-	// query always runs on one worker.
-	Workers int
-	// NumStmts sizes the dense per-statement result-mask arrays
-	// (statement IDs index them).
+	// States is the graph's free list of run states.
+	States *FreeList
+	// Timestamps bounds the keys: a key's TS must lie in [0, Timestamps).
+	Timestamps int64
+	// NumStmts sizes the dense per-statement result masks (statement IDs
+	// index them).
 	NumStmts int
-	// Lists sizes the per-worker cursor tables: Expand searches label
-	// lists numbered [0, Lists).
+	// Lists sizes the cursor table: Expand searches label lists numbered
+	// [0, Lists).
 	Lists int
-	// Expand resolves one traversal point by appending to exp, a
-	// per-worker buffer the kernel empties before each call and copies
-	// only when it memoizes the result. stats must count only this key's
-	// resolution work; the run keeps one call's stats per unique key
-	// (racing losers' are discarded). cc is the worker's cursor table.
+	// Expand resolves one traversal point by appending to exp, whose
+	// slices hold earlier expansions of the run: Expand must only append.
+	// stats counts the point's resolution work; cc is the run's cursor
+	// table.
 	Expand func(k Key, exp *Expansion, stats *slicing.Stats, cc *labelblock.CursorCache)
 }
 
-// Task is a seed for Run: a traversal point and the criterion bits that
-// start there.
-type Task struct {
-	K    Key
-	Mask uint64
-	e    *entry
-}
-
-// Run executes one batched traversal from seeds and returns the dense
-// per-statement criterion masks, the aggregate traversal stats, and the
-// scheduler counters. The masks and stats are deterministic for a given
-// graph and seed set; Counters are schedule-dependent (except Expansions).
-func Run(cfg Config, seeds []Task) ([]uint64, slicing.Stats, Counters) {
-	nw := cfg.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	nw = max(1, min(nw, len(seeds)))
-	r := &runner{cfg: cfg, shared: nw > 1}
-	if r.shared {
-		r.table = newTable(nw)
-	} else {
-		r.table = localTables.Get().(*table)
-		defer r.table.release()
-	}
-	r.workers = make([]*worker, nw)
-	for i := range r.workers {
-		r.workers[i] = &worker{masks: make([]uint64, cfg.NumStmts), cc: labelblock.GetCursorCache(cfg.Lists)}
-	}
-	// Seeds are dealt round-robin so the pool starts balanced; stealing
-	// rebalances from there.
-	for i, s := range seeds {
-		r.full |= s.Mask
-		r.push(r.workers[i%nw], s.K, s.Mask)
-	}
-	if !r.shared {
-		r.loop(0)
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < nw; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				r.loop(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	for _, w := range r.workers {
-		w.ctr.BlockHits = w.cc.Hits
-		w.cc.Release()
-	}
-	masks := r.workers[0].masks
-	stats := r.workers[0].stats
-	ctr := r.workers[0].ctr
-	for _, w := range r.workers[1:] {
-		for i, m := range w.masks {
-			masks[i] |= m
-		}
-		stats.Instances += w.stats.Instances
-		stats.LabelProbes += w.stats.LabelProbes
-		ctr.Steals += w.ctr.Steals
-		ctr.Merges += w.ctr.Merges
-		ctr.Expansions += w.ctr.Expansions
-		ctr.BlockHits += w.ctr.BlockHits
-	}
-	ctr.WorkersUsed = nw
-	return masks, stats, ctr
-}
-
-// Slices answers one criterion per seed key: one Run per 64-key chunk,
-// key i owning bit i%64 of its chunk. It returns the slices, the stats
-// and counters summed over the chunks.
+// Slices answers one criterion per seed key: one run per 64-key chunk,
+// key i owning bit i%64 of its chunk. It returns the slices, and the
+// stats and counters summed over the chunks. Masks and stats are a
+// function of the graph and the keys alone.
 func Slices(cfg Config, keys []Key) ([]*slicing.Slice, *slicing.Stats, Counters) {
 	outs := make([]*slicing.Slice, len(keys))
 	for i := range outs {
 		outs[i] = slicing.NewSlice()
 	}
-	stats := &slicing.Stats{}
-	var ctr Counters
+	s := cfg.States.get()
+	defer cfg.States.put(s)
+	s.stats, s.ctr = slicing.Stats{}, Counters{}
 	for base := 0; base < len(keys); base += 64 {
-		tasks := make([]Task, min(64, len(keys)-base))
-		for j := range tasks {
-			tasks[j] = Task{K: keys[base+j], Mask: uint64(1) << j}
-		}
-		masks, st, c := Run(cfg, tasks)
-		MaskSlices(masks, outs[base:base+len(tasks)])
-		stats.Instances += st.Instances
-		stats.LabelProbes += st.LabelProbes
-		ctr.Steals += c.Steals
-		ctr.Merges += c.Merges
-		ctr.Expansions += c.Expansions
-		ctr.BlockHits += c.BlockHits
-		ctr.WorkersUsed = max(ctr.WorkersUsed, c.WorkersUsed)
+		chunk := keys[base:min(base+64, len(keys))]
+		s.run(&cfg, chunk)
+		MaskSlices(s.result, outs[base:base+len(chunk)])
 	}
-	return outs, stats, ctr
+	stats := s.stats
+	return outs, &stats, s.ctr
 }
 
-type worker struct {
-	mu    sync.Mutex
-	dq    []Task
-	buf   Expansion     // reused expansion buffer
-	delta slicing.Stats // one expansion's stats, before the memo decides
-	masks []uint64
+// keepStates bounds a graph's free list. A state holds the arenas of the
+// largest run it served, so the list keeps only as many as one or two
+// concurrent queries need; a state put back beyond the bound is left to
+// the collector.
+const keepStates = 2
+
+// FreeList recycles one graph's run states across queries. It is a plain
+// mutex-guarded slice rather than a sync.Pool, so a garbage collection
+// does not empty it and the next query does not rebuild its arenas. The
+// zero value is an empty list.
+type FreeList struct {
+	mu   sync.Mutex
+	free []*state
+}
+
+func (fl *FreeList) get() *state {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	n := len(fl.free)
+	if n == 0 {
+		return &state{}
+	}
+	s := fl.free[n-1]
+	fl.free = fl.free[:n-1]
+	return s
+}
+
+func (fl *FreeList) put(s *state) {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	if len(fl.free) < keepStates {
+		fl.free = append(fl.free, s)
+	}
+}
+
+// exec is one timestamp's visited state: the run that first touched the
+// execution this run, the width recorded then, and the offset of its
+// points in the run's arenas.
+type exec struct {
+	stamp uint32
+	width int32
+	off   int32
+}
+
+// task is a point on the stack with the criterion bits it carries; at is
+// the point's offset in the run's arenas.
+type task struct {
+	k    Key
+	mask uint64
+	at   int32
+}
+
+// span locates one memoized expansion in the run's arenas.
+type span struct {
+	s0, s1, t0, t1 int32
+}
+
+// state is one run's state, reused by the next run that takes it.
+type state struct {
+	stamp uint32
+	execs []exec   // indexed by timestamp
+	masks []uint64 // per point: claimed criterion bits
+	memo  []int32  // per point, in runs of several criteria: 1 + index into spans; 0 = none
+
+	spans []span
+	exp   Expansion // arenas: memoized expansions, then the one in progress
+
+	stack  []task
+	result []uint64 // per statement: the criteria whose slices hold it
+	full   uint64   // OR of every seed's criterion bit
+	cc     labelblock.CursorCache
+
 	stats slicing.Stats
 	ctr   Counters
-	cc    *labelblock.CursorCache
 }
 
-// runner is one Run's state. A one-worker run (shared == false) owns all
-// of it: no deque or shard locks, no CAS, no pending count.
-type runner struct {
-	cfg     Config
-	table   *table
-	workers []*worker
-	shared  bool
-	full    uint64 // OR of every seed mask
-	pending atomic.Int64
+// run traverses from one chunk of at most 64 seed keys, key i carrying
+// criterion bit i, and leaves the per-statement masks in s.result.
+func (s *state) run(cfg *Config, seeds []Key) {
+	s.begin(cfg)
+	s.full = ^uint64(0) >> (64 - len(seeds))
+	for i, k := range seeds {
+		s.push(k, 1<<i)
+	}
+	for n := len(s.stack); n > 0; n = len(s.stack) {
+		t := s.stack[n-1]
+		n--
+		// Coalesce directly adjacent tasks for the same point into one
+		// mask.
+		for n > 0 && s.stack[n-1].at == t.at {
+			t.mask |= s.stack[n-1].mask
+			n--
+			s.ctr.Merges++
+		}
+		s.stack = s.stack[:n]
+		s.process(cfg, t)
+	}
+	s.ctr.BlockHits += s.cc.Hits
 }
 
-// push claims mask's unseen bits for k in the visited table and, when any
-// are new, enqueues a task carrying exactly those bits.
-func (r *runner) push(w *worker, k Key, mask uint64) {
-	nv, e := r.table.visit(k, mask, r.shared)
+// begin resets the state for a run: a new stamp, empty arenas and stack,
+// cleared result masks and a reset cursor table.
+func (s *state) begin(cfg *Config) {
+	if s.stamp++; s.stamp == 0 {
+		// The stamp wrapped: clear every stamp an execution could still
+		// hold, so no earlier run's reads as this one's.
+		clear(s.execs[:cap(s.execs)])
+		s.stamp = 1
+	}
+	if n := int(max(cfg.Timestamps, 0)); n <= cap(s.execs) {
+		s.execs = s.execs[:n]
+	} else {
+		s.execs = make([]exec, n)
+	}
+	s.masks, s.memo = s.masks[:0], s.memo[:0]
+	s.spans = s.spans[:0]
+	s.exp.Stmts, s.exp.Targets = s.exp.Stmts[:0], s.exp.Targets[:0]
+	s.stack = s.stack[:0]
+	if cap(s.result) < cfg.NumStmts {
+		s.result = make([]uint64, cfg.NumStmts)
+	} else {
+		s.result = s.result[:cfg.NumStmts]
+		clear(s.result)
+	}
+	s.cc.Reset(cfg.Lists)
+}
+
+// push claims mask's unseen bits for k's point and, when any are new,
+// stacks a task carrying exactly those bits. The first touch of an
+// execution in this run records its width and appends its points to the
+// arenas.
+func (s *state) push(k Key, mask uint64) {
+	if uint64(k.TS) >= uint64(len(s.execs)) {
+		s.ctr.Dropped++
+		return
+	}
+	x := &s.execs[k.TS]
+	if x.stamp != s.stamp {
+		if k.Width <= 0 {
+			s.ctr.Dropped++
+			return
+		}
+		x.stamp, x.width, x.off = s.stamp, k.Width, int32(len(s.masks))
+		s.masks = extend(s.masks, int(k.Width))
+		if s.full&(s.full-1) != 0 {
+			// Only a run of several criteria reads the memo.
+			s.memo = extend(s.memo, int(k.Width))
+		}
+	}
+	if uint32(k.Idx) >= uint32(x.width) {
+		s.ctr.Dropped++
+		return
+	}
+	at := x.off + k.Idx
+	nv := mask &^ s.masks[at]
 	if nv == 0 {
 		return
 	}
-	if !r.shared {
-		w.dq = append(w.dq, Task{K: k, Mask: nv, e: e})
-		return
-	}
-	r.pending.Add(1)
-	w.mu.Lock()
-	w.dq = append(w.dq, Task{K: k, Mask: nv, e: e})
-	w.mu.Unlock()
+	s.masks[at] |= nv
+	s.stack = append(s.stack, task{k: k, mask: nv, at: at})
 }
 
-// pop takes from the worker's own tail, coalescing any directly adjacent
-// tasks for the same key into one mask (the deque-level half of mask
-// merging; the table-level half happens at push). Coalesced tasks retire
-// immediately from the pending count.
-func (r *runner) pop(w *worker) (Task, bool) {
-	if r.shared {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-	}
-	n := len(w.dq)
-	if n == 0 {
-		return Task{}, false
-	}
-	t := w.dq[n-1]
-	w.dq = w.dq[:n-1]
-	for len(w.dq) > 0 && w.dq[len(w.dq)-1].K == t.K {
-		t.Mask |= w.dq[len(w.dq)-1].Mask
-		w.dq = w.dq[:len(w.dq)-1]
-		w.ctr.Merges++
-		if r.shared {
-			r.pending.Add(-1)
-		}
-	}
-	return t, true
+// extend appends n zero values to a, allocating only when a lacks the
+// capacity.
+func extend[T any](a []T, n int) []T {
+	a = slices.Grow(a, n)
+	a = a[:len(a)+n]
+	clear(a[len(a)-n:])
+	return a
 }
 
-// steal moves half of a victim's queue (from the head: the oldest, widest
-// frontier entries) to the thief.
-func (r *runner) steal(self int) (Task, bool) {
-	me := r.workers[self]
-	n := len(r.workers)
-	for off := 1; off < n; off++ {
-		v := r.workers[(self+off)%n]
-		v.mu.Lock()
-		if len(v.dq) == 0 {
-			v.mu.Unlock()
-			continue
-		}
-		take := (len(v.dq) + 1) / 2
-		grabbed := make([]Task, take)
-		copy(grabbed, v.dq[:take])
-		v.dq = append(v.dq[:0], v.dq[take:]...)
-		v.mu.Unlock()
-		me.mu.Lock()
-		me.dq = append(me.dq, grabbed[:take-1]...)
-		me.mu.Unlock()
-		me.ctr.Steals++
-		return grabbed[take-1], true
-	}
-	return Task{}, false
-}
-
-func (r *runner) loop(self int) {
-	w := r.workers[self]
-	for {
-		t, ok := r.pop(w)
-		if !ok && r.shared {
-			t, ok = r.steal(self)
-		}
-		if !ok {
-			if !r.shared || r.pending.Load() == 0 {
-				return
-			}
-			runtime.Gosched()
-			continue
-		}
-		r.process(w, t)
-	}
-}
-
-// process expands one task: resolve (or reuse) the key's expansion, OR the
-// task's bits into the contributed statements' result masks, and propagate
-// the bits downstream.
+// process expands one task: resolve (or reuse) the point's expansion, OR
+// the task's bits into the contributed statements' result masks, and
+// propagate the bits downstream.
 //
-// A task holding every seed bit is the only task its key ever gets (each
-// bit is claimed once per key), so its expansion is resolved into the
-// worker's buffer and never memoized — every task of a one-criterion
-// query. Any other task's key may be reached again with new bits: its
-// expansion is published once, and only the publishing winner's stats
-// count, so aggregate stats stay per-unique-key no matter how many
-// workers raced on it.
-func (r *runner) process(w *worker, t Task) {
-	var exp *Expansion
-	if t.Mask != r.full {
-		exp = t.e.memo(r.shared)
-	}
-	if exp == nil {
-		exp = &w.buf
-		exp.Stmts, exp.Targets = exp.Stmts[:0], exp.Targets[:0]
-		w.delta = slicing.Stats{}
-		r.cfg.Expand(t.K, exp, &w.delta, w.cc)
-		if t.Mask == r.full || t.e.publish(exp.clone(), r.shared) {
-			w.stats.Instances += w.delta.Instances
-			w.stats.LabelProbes += w.delta.LabelProbes
-			w.ctr.Expansions++
+// A task holding every seed bit is the only task its point ever gets
+// (each bit is claimed once per point), so its expansion is dropped from
+// the arenas once propagated — every task of a one-criterion query. Any
+// other task's point may be reached again with new bits, so its
+// expansion stays in the arenas as the point's memo.
+func (s *state) process(cfg *Config, t task) {
+	keep := t.mask != s.full
+	var sp span
+	hit := false
+	if keep {
+		if m := s.memo[t.at]; m != 0 {
+			sp, hit = s.spans[m-1], true
 		}
 	}
-	for _, id := range exp.Stmts {
-		w.masks[id] |= t.Mask
+	if !hit {
+		sp.s0, sp.t0 = int32(len(s.exp.Stmts)), int32(len(s.exp.Targets))
+		cfg.Expand(t.k, &s.exp, &s.stats, &s.cc)
+		sp.s1, sp.t1 = int32(len(s.exp.Stmts)), int32(len(s.exp.Targets))
+		s.ctr.Expansions++
+		if keep {
+			s.spans = append(s.spans, sp)
+			s.memo[t.at] = int32(len(s.spans))
+		}
 	}
-	for _, tk := range exp.Targets {
-		r.push(w, tk, t.Mask)
+	for _, id := range s.exp.Stmts[sp.s0:sp.s1] {
+		s.result[id] |= t.mask
 	}
-	if r.shared {
-		r.pending.Add(-1)
+	for _, k := range s.exp.Targets[sp.t0:sp.t1] {
+		s.push(k, t.mask)
+	}
+	if !keep {
+		s.exp.Stmts, s.exp.Targets = s.exp.Stmts[:sp.s0], s.exp.Targets[:sp.t0]
 	}
 }
 

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -9,126 +10,293 @@ import (
 	"dynslice/internal/slicing/labelblock"
 )
 
-// synthetic DAG: key i contributes statement i%numStmts and leads to keys
-// 2i+1 and 2i+2 below limit, plus a convergence edge to i/3 — the shared
-// ancestors make mask merging and the expansion memo load-bearing.
+// synthetic DAG: point i contributes statement i%synStmts and leads to
+// points 2i+1 and 2i+2 below synLimit, plus a convergence edge to i/3 —
+// the shared ancestors make mask merging and the expansion memo
+// load-bearing. Point i sits at index i%synWidth of execution i/synWidth.
 const (
 	synLimit = 5000
 	synStmts = 257
+	synWidth = 3
 )
+
+func synKey(i uint64) Key {
+	return Key{Ref: i, TS: int64(i / synWidth), Idx: int32(i % synWidth), Width: synWidth}
+}
 
 func synExpand(k Key, e *Expansion, stats *slicing.Stats, _ *labelblock.CursorCache) {
 	stats.Instances++
 	stats.LabelProbes += 2
-	i := k.K1
+	i := k.Ref
 	e.Stmts = append(e.Stmts, ir.StmtID(i%synStmts))
 	if c := 2*i + 1; c < synLimit {
-		e.Targets = append(e.Targets, Key{K1: c})
+		e.Targets = append(e.Targets, synKey(c))
 	}
 	if c := 2*i + 2; c < synLimit {
-		e.Targets = append(e.Targets, Key{K1: c})
+		e.Targets = append(e.Targets, synKey(c))
 	}
 	if i > 0 {
-		e.Targets = append(e.Targets, Key{K1: i / 3})
+		e.Targets = append(e.Targets, synKey(i/3))
 	}
 }
 
-func synSeeds(n int) []Task {
-	seeds := make([]Task, n)
-	for i := range seeds {
-		// Spread the seeds over the key space; distinct criterion bits.
-		seeds[i] = Task{K: Key{K1: uint64(i * 37 % synLimit)}, Mask: 1 << uint(i%64)}
+func synConfig(fl *FreeList) Config {
+	return Config{
+		States:     fl,
+		Timestamps: (synLimit + synWidth - 1) / synWidth,
+		NumStmts:   synStmts,
+		Expand:     synExpand,
 	}
-	return seeds
 }
 
-// TestRunDeterministicAcrossWorkers: the result masks, traversal stats, and
-// expansion count must be a pure function of the graph and seed set — the
-// same under any worker count or schedule.
-func TestRunDeterministicAcrossWorkers(t *testing.T) {
+// synSeeds spreads n seed keys over the point space.
+func synSeeds(n int) []Key {
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = synKey(uint64(i * 37 % synLimit))
+	}
+	return keys
+}
+
+// synReach returns the number of distinct points reachable from the
+// seeds, the expansions a run must make.
+func synReach(seeds []Key) int64 {
+	seen := map[uint64]bool{}
+	var stack []uint64
+	for _, k := range seeds {
+		stack = append(stack, k.Ref)
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[i] {
+			continue
+		}
+		seen[i] = true
+		var e Expansion
+		synExpand(synKey(i), &e, &slicing.Stats{}, nil)
+		for _, k := range e.Targets {
+			stack = append(stack, k.Ref)
+		}
+	}
+	return int64(len(seen))
+}
+
+type result struct {
+	outs  []*slicing.Slice
+	stats slicing.Stats
+	ctr   Counters
+}
+
+func runSlices(cfg Config, keys []Key) result {
+	outs, stats, ctr := Slices(cfg, keys)
+	return result{outs, *stats, ctr}
+}
+
+func sameResult(t *testing.T, what string, got, want result) {
+	t.Helper()
+	for i := range want.outs {
+		if !got.outs[i].Equal(want.outs[i]) {
+			t.Fatalf("%s: slice %d %v want %v", what, i, got.outs[i].Stmts(), want.outs[i].Stmts())
+		}
+	}
+	if got.stats != want.stats || got.ctr != want.ctr {
+		t.Fatalf("%s: stats %+v counters %+v, want %+v %+v", what, got.stats, got.ctr, want.stats, want.ctr)
+	}
+}
+
+// TestRunRecycledMatchesFresh: the slices, traversal stats and counters
+// are a function of the graph and the seed set alone. Runs repeated
+// through one free list — whose states keep the stamps, arenas and
+// cursor table of earlier runs — match a fresh state, also after the run
+// stamp wraps.
+func TestRunRecycledMatchesFresh(t *testing.T) {
+	var fl FreeList
 	for _, nseeds := range []int{1, 7, 63, 64, 65, 200} {
 		seeds := synSeeds(nseeds)
-		want, wantStats, wantCtr := Run(Config{Workers: 1, NumStmts: synStmts, Expand: synExpand}, seeds)
-		if wantCtr.WorkersUsed != 1 {
-			t.Fatalf("seeds=%d: workers used = %d want 1", nseeds, wantCtr.WorkersUsed)
+		want := runSlices(synConfig(&FreeList{}), seeds)
+		for rep := 0; rep < 3; rep++ {
+			sameResult(t, "recycled", runSlices(synConfig(&fl), seeds), want)
 		}
-		for _, workers := range []int{2, 8} {
-			got, gotStats, gotCtr := Run(Config{Workers: workers, NumStmts: synStmts, Expand: synExpand}, seeds)
-			for id := range want {
-				if got[id] != want[id] {
-					t.Fatalf("seeds=%d workers=%d: stmt %d mask %x want %x",
-						nseeds, workers, id, got[id], want[id])
+		// Force the next run's stamp to wrap.
+		s := fl.get()
+		s.stamp = math.MaxUint32
+		fl.put(s)
+		sameResult(t, "after stamp wrap", runSlices(synConfig(&fl), seeds), want)
+		if s.stamp == math.MaxUint32 || s.stamp == 0 {
+			t.Fatalf("stamp %d after the wrapping run", s.stamp)
+		}
+	}
+	if len(fl.free) != 1 {
+		t.Fatalf("free list holds %d states after sequential runs, want 1", len(fl.free))
+	}
+
+	// A stale stamp equal to the wrapped one: executions 0–9 keep run 1's
+	// stamp while run 2 touches only 10–19, so once the stamp wraps back
+	// to 1 only the clearing tells them from this run's.
+	isolated := Config{
+		States:     &FreeList{},
+		Timestamps: 20,
+		NumStmts:   20,
+		Expand: func(k Key, e *Expansion, _ *slicing.Stats, _ *labelblock.CursorCache) {
+			e.Stmts = append(e.Stmts, ir.StmtID(k.TS))
+		},
+	}
+	seeds := func(from int64) []Key {
+		var keys []Key
+		for ts := from; ts < from+10; ts++ {
+			keys = append(keys, Key{TS: ts, Width: 1})
+		}
+		return keys
+	}
+	first := runSlices(isolated, seeds(0))
+	runSlices(isolated, seeds(10))
+	s := isolated.States.get()
+	s.stamp = math.MaxUint32
+	isolated.States.put(s)
+	sameResult(t, "stale stamp after wrap", runSlices(isolated, seeds(0)), first)
+}
+
+// TestMultiCriterionIsUnionOfSingles: a 64-criterion run gives every
+// criterion the slice its single run gives — each statement's mask is the
+// OR of the single runs' — and expands each reachable point once, however
+// many criteria reach it.
+func TestMultiCriterionIsUnionOfSingles(t *testing.T) {
+	var fl FreeList
+	seeds := synSeeds(64)
+	multi := runSlices(synConfig(&fl), seeds)
+	for i, k := range seeds {
+		one := runSlices(synConfig(&fl), []Key{k})
+		if !one.outs[0].Equal(multi.outs[i]) {
+			t.Fatalf("criterion %d: batched slice differs from its single run", i)
+		}
+	}
+	reach := synReach(seeds)
+	if multi.ctr.Expansions != reach || multi.stats.Instances != reach {
+		t.Fatalf("%d expansions, %d instances: want each of %d reachable points once",
+			multi.ctr.Expansions, multi.stats.Instances, reach)
+	}
+	if multi.ctr.Dropped != 0 {
+		t.Fatalf("%d keys dropped on a valid graph", multi.ctr.Dropped)
+	}
+}
+
+// TestDroppedKeys: a key whose timestamp lies outside [0, Timestamps), a
+// first touch with no width, and an index beyond the width first recorded
+// at its timestamp are dropped and counted, never expanded, and leave
+// every other execution's points alone.
+func TestDroppedKeys(t *testing.T) {
+	bad := []Key{
+		{Ref: 100, TS: -1, Idx: 0, Width: 2},
+		{Ref: 101, TS: 4, Idx: 0, Width: 2}, // Timestamps is 4
+		{Ref: 102, TS: 1, Idx: 0, Width: 0}, // first touch of execution 1 without a width
+		{Ref: 103, TS: 0, Idx: 2, Width: 9}, // execution 0 recorded width 2
+		{Ref: 104, TS: 0, Idx: -1, Width: 2},
+	}
+	cfg := Config{
+		States:     &FreeList{},
+		Timestamps: 4,
+		NumStmts:   8,
+		Expand: func(k Key, e *Expansion, stats *slicing.Stats, _ *labelblock.CursorCache) {
+			stats.Instances++
+			if k.Ref >= 100 {
+				t.Errorf("dropped key %+v expanded", k)
+				return
+			}
+			e.Stmts = append(e.Stmts, ir.StmtID(k.Ref))
+			if k.Ref == 0 {
+				e.Targets = append(e.Targets, Key{Ref: 1, TS: 0, Idx: 1, Width: 2})
+				e.Targets = append(e.Targets, bad...)
+				e.Targets = append(e.Targets, Key{Ref: 2, TS: 3, Idx: 0, Width: 1})
+			}
+		},
+	}
+	r := runSlices(cfg, []Key{{Ref: 0, TS: 0, Idx: 0, Width: 2}})
+	if r.ctr.Dropped != int64(len(bad)) {
+		t.Fatalf("%d keys dropped, want %d", r.ctr.Dropped, len(bad))
+	}
+	if got := r.outs[0].Stmts(); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("slice %v, want [0 1 2]", got)
+	}
+	if r.stats.Instances != 3 || r.ctr.Expansions != 3 {
+		t.Fatalf("stats %+v counters %+v: want the three valid points expanded once", r.stats, r.ctr)
+	}
+}
+
+// TestRunHammer: concurrent runs over one graph's free list each take a
+// state of their own. Under -race it is the proof that the free list is
+// the only state the runs share.
+func TestRunHammer(t *testing.T) {
+	var fl FreeList
+	sizes := []int{1, 64, 65}
+	want := make([]result, len(sizes))
+	for i, n := range sizes {
+		want[i] = runSlices(synConfig(&FreeList{}), synSeeds(n))
+	}
+	reps := 4
+	if testing.Short() {
+		reps = 2
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < reps; rep++ {
+				i := (w + rep) % len(sizes)
+				got := runSlices(synConfig(&fl), synSeeds(sizes[i]))
+				for j := range want[i].outs {
+					if !got.outs[j].Equal(want[i].outs[j]) {
+						t.Errorf("worker %d rep %d: slice %d differs", w, rep, j)
+						return
+					}
+				}
+				if got.stats != want[i].stats || got.ctr != want[i].ctr {
+					t.Errorf("worker %d rep %d: stats %+v counters %+v, want %+v %+v",
+						w, rep, got.stats, got.ctr, want[i].stats, want[i].ctr)
+					return
 				}
 			}
-			if gotStats != wantStats {
-				t.Errorf("seeds=%d workers=%d: stats %+v want %+v", nseeds, workers, gotStats, wantStats)
-			}
-			if gotCtr.Expansions != wantCtr.Expansions {
-				t.Errorf("seeds=%d workers=%d: expansions %d want %d",
-					nseeds, workers, gotCtr.Expansions, wantCtr.Expansions)
-			}
-			if maxW := min(workers, nseeds); gotCtr.WorkersUsed != maxW {
-				t.Errorf("seeds=%d workers=%d: workers used = %d want %d",
-					nseeds, workers, gotCtr.WorkersUsed, maxW)
-			}
-		}
+		}(w)
+	}
+	wg.Wait()
+	if len(fl.free) > keepStates {
+		t.Fatalf("free list holds %d states, bound %d", len(fl.free), keepStates)
 	}
 }
 
-// TestRunHammer is the work-stealing stress test: many repetitions at high
-// worker counts over the shared-ancestor DAG. Under -race it is the proof
-// that deque transfer, table growth, mask CAS, and the expansion memo are
-// sound together.
-func TestRunHammer(t *testing.T) {
-	seeds := synSeeds(64)
-	want, _, _ := Run(Config{Workers: 1, NumStmts: synStmts, Expand: synExpand}, seeds)
-	reps := 8
-	if testing.Short() {
-		reps = 3
-	}
-	for rep := 0; rep < reps; rep++ {
-		got, _, ctr := Run(Config{Workers: 8, NumStmts: synStmts, Expand: synExpand}, seeds)
-		for id := range want {
-			if got[id] != want[id] {
-				t.Fatalf("rep %d: stmt %d mask %x want %x", rep, id, got[id], want[id])
-			}
-		}
-		if ctr.Expansions <= 0 {
-			t.Fatalf("rep %d: no expansions counted", rep)
-		}
-	}
-}
-
-// TestOneSeedRun: a one-criterion run — every single query — runs on one
-// worker whatever the pool bound, expands each reachable key once, and
-// resolves into the reused buffer without memoizing, so its allocations
-// do not grow with the number of expansions.
+// TestOneSeedRun: a one-criterion run — every single query — expands each
+// reachable point once, merges nothing, and memoizes nothing, so once its
+// state is recycled its allocations do not grow with the number of
+// expansions.
 func TestOneSeedRun(t *testing.T) {
-	cfg := Config{Workers: 8, NumStmts: synStmts, Expand: synExpand}
+	var fl FreeList
+	cfg := synConfig(&fl)
 	seeds := synSeeds(1)
-	masks, stats, ctr := Run(cfg, seeds)
-	if ctr.WorkersUsed != 1 || ctr.Steals != 0 || ctr.Merges != 0 {
-		t.Fatalf("counters %+v: want one worker, no steals or merges", ctr)
+	r := runSlices(cfg, seeds)
+	if r.ctr.Merges != 0 || r.ctr.Dropped != 0 {
+		t.Fatalf("counters %+v: want no merges or drops", r.ctr)
 	}
-	if ctr.Expansions != synLimit || stats.Instances != synLimit {
-		t.Fatalf("expansions %d, instances %d: want every one of %d keys once",
-			ctr.Expansions, stats.Instances, synLimit)
+	if r.ctr.Expansions != synLimit || r.stats.Instances != synLimit {
+		t.Fatalf("expansions %d, instances %d: want every one of %d points once",
+			r.ctr.Expansions, r.stats.Instances, synLimit)
 	}
-	for id, m := range masks {
-		if m != 1 {
-			t.Fatalf("stmt %d mask %x want 1", id, m)
-		}
+	if got := r.outs[0].Len(); got != synStmts {
+		t.Fatalf("slice holds %d statements, want all %d", got, synStmts)
 	}
-	allocs := testing.AllocsPerRun(5, func() { Run(cfg, seeds) })
+	if s := fl.free[0]; len(s.spans) != 0 || len(s.memo) != 0 {
+		t.Fatalf("one-criterion run memoized %d expansions over %d memo slots", len(s.spans), len(s.memo))
+	}
+	allocs := testing.AllocsPerRun(5, func() { Slices(cfg, seeds) })
 	if allocs > synLimit/50 {
-		t.Fatalf("%.0f allocations for %d expansions: buffer not reused", allocs, synLimit)
+		t.Fatalf("%.0f allocations for %d expansions: state not reused", allocs, synLimit)
 	}
 }
 
-// TestWorkerCursorTables: every started worker searches through a cursor
-// table of its own, sized to Config.Lists — no table is ever in use by two
-// expansions at once — and the run reports the tables' block hits, no
-// more than the lookups made.
+// TestWorkerCursorTables: every run searches through a cursor table of
+// its own, sized to Config.Lists — concurrent runs on one graph never
+// share one — and the run reports the table's block hits, no more than
+// the lookups made.
 func TestWorkerCursorTables(t *testing.T) {
 	l := labelblock.NewList(false)
 	for i := int64(0); i < 4*labelblock.BlockSize; i++ {
@@ -136,154 +304,80 @@ func TestWorkerCursorTables(t *testing.T) {
 	}
 	l.Seal(false)
 	var mu sync.Mutex
-	lookups := map[*labelblock.CursorCache]int64{}
 	busy := map[*labelblock.CursorCache]bool{}
-	cfg := Config{
-		Workers:  4,
-		NumStmts: synStmts,
-		Lists:    3,
-		Expand: func(k Key, e *Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
-			mu.Lock()
-			if busy[cc] {
-				t.Error("one cursor table used by two expansions at once")
-			}
-			busy[cc] = true
-			lookups[cc]++
-			mu.Unlock()
-			if _, _, _, ok := cc.Find(2, &l, int64(k.K1)%int64(l.Len())); !ok {
-				t.Errorf("Find(%d) missed", k.K1)
-			}
-			synExpand(k, e, stats, cc)
-			mu.Lock()
-			busy[cc] = false
-			mu.Unlock()
-		},
-	}
-	_, _, ctr := Run(cfg, synSeeds(16))
-	if len(lookups) == 0 || len(lookups) > ctr.WorkersUsed {
-		t.Fatalf("%d cursor tables for %d workers", len(lookups), ctr.WorkersUsed)
-	}
-	var total int64
-	for _, n := range lookups {
-		total += n
-	}
-	// Racing losers also call Expand, so the lookup total is >= the
-	// published expansion count — never less.
-	if total < ctr.Expansions {
-		t.Fatalf("cursor tables saw %d lookups, published %d expansions", total, ctr.Expansions)
-	}
-	if ctr.BlockHits == 0 || ctr.BlockHits > total {
-		t.Fatalf("%d block hits over %d lookups", ctr.BlockHits, total)
-	}
-}
-
-// TestVisitMaskSemantics: visit returns exactly the newly claimed bits and
-// the entry is stable across calls and growth.
-func TestVisitMaskSemantics(t *testing.T) {
-	tb := newTable(4)
-	k := Key{K1: 42, K2: 7}
-	nv, e1 := tb.visit(k, 0b1011, true)
-	if nv != 0b1011 {
-		t.Fatalf("first visit claimed %b want 1011", nv)
-	}
-	nv, e2 := tb.visit(k, 0b1110, true)
-	if nv != 0b0100 {
-		t.Fatalf("second visit claimed %b want 0100", nv)
-	}
-	if e1 != e2 {
-		t.Fatal("entry moved between visits")
-	}
-	if nv, _ := tb.visit(k, 0b1111, true); nv != 0 {
-		t.Fatalf("third visit claimed %b want 0", nv)
-	}
-	// Force bucket growth in every shard; earlier entries must survive with
-	// their masks intact and without duplication.
-	entries := map[Key]*entry{k: e1}
-	for i := uint64(0); i < 5000; i++ {
-		kk := Key{K1: i, K2: i * 3}
-		nv, e := tb.visit(kk, 1, true)
-		if prev, dup := entries[kk]; dup && prev != e {
-			t.Fatalf("key %v: duplicate entry after growth", kk)
-		} else if !dup {
-			if nv != 1 {
-				t.Fatalf("key %v: fresh visit claimed %b", kk, nv)
-			}
-			entries[kk] = e
+	var fl FreeList
+	cfg := synConfig(&fl)
+	cfg.Lists = 3
+	cfg.Expand = func(k Key, e *Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
+		mu.Lock()
+		if busy[cc] {
+			t.Error("one cursor table used by two expansions at once")
 		}
-	}
-	if nv, e := tb.visit(k, 0b10000, true); nv != 0b10000 || e != e1 {
-		t.Fatalf("post-growth visit: claimed %b entry moved=%v", nv, e != e1)
-	}
-}
-
-// TestTableHomeSlotsSpanShard: the shard index and a key's home bucket
-// must come from different hash bits. If both came from the low bits, a
-// shard's keys could only start probing at 1 in 8 of its buckets, those
-// home slots would always be full, and linear probing would pile the keys
-// into long runs behind them.
-func TestTableHomeSlotsSpanShard(t *testing.T) {
-	tb := newTable(2)
-	if len(tb.shards) < 8 {
-		t.Fatalf("%d shards: want at least 8", len(tb.shards))
-	}
-	for i := uint64(0); i < 50000; i++ {
-		// OPT-shaped keys: (node, statement copy) and (timestamp, slot).
-		tb.visit(Key{K1: i%97<<32 | i%13, K2: i<<16 | 1}, 1, true)
-	}
-	for s := range tb.shards {
-		sh := &tb.shards[s]
-		var used, class, classUsed int
-		for i, b := range sh.buckets {
-			inClass := uint64(i)&tb.smask == uint64(s)
-			if inClass {
-				class++
-			}
-			if b != 0 {
-				used++
-				if inClass {
-					classUsed++
-				}
-			}
+		busy[cc] = true
+		mu.Unlock()
+		if _, _, _, ok := cc.Find(2, &l, int64(k.Ref)%int64(l.Len())); !ok {
+			t.Errorf("Find(%d) missed", k.Ref)
 		}
-		load := float64(used) / float64(len(sh.buckets))
-		classLoad := float64(classUsed) / float64(class)
-		if classLoad-load > 0.1 {
-			t.Errorf("shard %d: buckets whose index matches the shard are %.2f full, all buckets %.2f",
-				s, classLoad, load)
-		}
+		synExpand(k, e, stats, cc)
+		mu.Lock()
+		busy[cc] = false
+		mu.Unlock()
 	}
-}
-
-// TestVisitConcurrent: racing workers claiming overlapping masks must
-// partition the bits — every bit claimed exactly once per key.
-func TestVisitConcurrent(t *testing.T) {
-	tb := newTable(8)
-	const keys = 2000
-	claimed := make([][]uint64, 8)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		claimed[w] = make([]uint64, keys)
+	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				nv, _ := tb.visit(Key{K1: uint64(i)}, 0xFF, true)
-				claimed[w][i] = nv
+			_, _, ctr := Slices(cfg, synSeeds(16))
+			if ctr.BlockHits == 0 || ctr.BlockHits > ctr.Expansions {
+				t.Errorf("%d block hits over %d lookups", ctr.BlockHits, ctr.Expansions)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	for i := 0; i < keys; i++ {
-		var union, overlap uint64
-		for w := 0; w < 8; w++ {
-			if union&claimed[w][i] != 0 {
-				overlap |= union & claimed[w][i]
-			}
-			union |= claimed[w][i]
+}
+
+// TestVisitMaskSemantics: a push stacks exactly the newly claimed bits of
+// its point, points of one execution keep separate masks, and a point's
+// arena slot stays put as later executions are appended.
+func TestVisitMaskSemantics(t *testing.T) {
+	s := &state{}
+	s.begin(&Config{Timestamps: 10, NumStmts: 1})
+	claim := func(k Key, mask uint64) uint64 {
+		t.Helper()
+		n := len(s.stack)
+		s.push(k, mask)
+		if len(s.stack) == n {
+			return 0
 		}
-		if union != 0xFF || overlap != 0 {
-			t.Fatalf("key %d: union=%x overlap=%x", i, union, overlap)
+		top := s.stack[len(s.stack)-1]
+		if top.k != k {
+			t.Fatalf("stacked %+v for %+v", top.k, k)
 		}
+		return top.mask
+	}
+	k := Key{TS: 7, Idx: 1, Width: 3}
+	if nv := claim(k, 0b1011); nv != 0b1011 {
+		t.Fatalf("first visit claimed %b want 1011", nv)
+	}
+	at := s.stack[0].at
+	if nv := claim(k, 0b1110); nv != 0b0100 {
+		t.Fatalf("second visit claimed %b want 0100", nv)
+	}
+	if nv := claim(k, 0b1111); nv != 0 {
+		t.Fatalf("third visit claimed %b want 0", nv)
+	}
+	if nv := claim(Key{TS: 7, Idx: 2, Width: 3}, 0b1); nv != 0b1 {
+		t.Fatalf("sibling point claimed %b want 1", nv)
+	}
+	for ts := int64(0); ts < 10; ts++ {
+		claim(Key{TS: ts, Idx: 0, Width: 5}, 1)
+	}
+	if nv := claim(k, 0b10000); nv != 0b10000 || s.stack[len(s.stack)-1].at != at {
+		t.Fatalf("later visit: claimed %b at %d, first at %d", nv, s.stack[len(s.stack)-1].at, at)
+	}
+	if s.masks[at] != 0b11111 {
+		t.Fatalf("point mask %b want 11111", s.masks[at])
 	}
 }
 

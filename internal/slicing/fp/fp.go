@@ -17,10 +17,10 @@
 package fp
 
 import (
-	"sync/atomic"
 	"unsafe"
 
 	"dynslice/internal/ir"
+	"dynslice/internal/slicing/batch"
 	"dynslice/internal/slicing/labelblock"
 	"dynslice/internal/telemetry"
 )
@@ -78,7 +78,7 @@ type Graph struct {
 	mem *labelblock.Arena
 	enc *labelblock.Encoder
 
-	workers atomic.Int32 // batched-query pool bound; 0 = GOMAXPROCS
+	runs batch.FreeList // recycled query kernel states
 
 	tel *telemetry.Registry // optional; flushed once at End
 }

@@ -6,6 +6,7 @@ import (
 
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/explain"
+	"dynslice/internal/telemetry"
 )
 
 const batchSrc = `
@@ -49,9 +50,17 @@ func definedAddrs(g *Graph) []int64 {
 // the single-criterion slice for every defined address, crossing the
 // 64-criterion chunk boundary. Slice, SliceObserved and a one-criterion
 // SliceAll are the same kernel run, so they must agree on the slice and
-// on the traversal stats too.
+// on the traversal stats too. No key of a valid graph falls outside the
+// kernel's timestamp range or its execution's width.
 func TestSliceAllMatchesSequential(t *testing.T) {
 	g, _ := build(t, batchSrc)
+	reg := telemetry.New()
+	g.SetTelemetry(reg)
+	defer func() {
+		if n := reg.Counter("slice.batch.dropped_keys").Value(); n != 0 {
+			t.Errorf("%d keys dropped on a valid graph", n)
+		}
+	}()
 	addrs := definedAddrs(g)
 	if len(addrs) <= 64 {
 		t.Fatalf("want >64 criteria, have %d", len(addrs))
@@ -95,10 +104,11 @@ func TestSliceAllMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSliceAllWorkerSweep crosses scheduler pool sizes with criteria
-// counts straddling the 64-bit chunk boundaries (1, 63, 64, 65, and 200
-// with duplicated addresses): every combination must reproduce the
-// sequential answer slice for slice.
+// TestSliceAllWorkerSweep crosses SetWorkers values — a no-op kept for
+// callers that still size a pool — with criteria counts straddling the
+// 64-bit chunk boundaries (1, 63, 64, 65, and 200 with duplicated
+// addresses): every combination must reproduce the sequential answer
+// slice for slice.
 func TestSliceAllWorkerSweep(t *testing.T) {
 	g, _ := build(t, batchSrc)
 	addrs := definedAddrs(g)

@@ -16,14 +16,19 @@ import (
 
 var _ slicing.Explainer = (*Graph)(nil)
 
-// SetWorkers bounds the worker pool batched queries (SliceAll) run on;
-// n <= 0 means GOMAXPROCS. Atomic, so concurrent engine callers may
-// retune it between (but not during) their own queries.
-func (g *Graph) SetWorkers(n int) { g.workers.Store(int32(n)) }
+// SetWorkers is a no-op: every query runs one loop on the caller's
+// goroutine. It stays for callers that still size a batch pool.
+func (g *Graph) SetWorkers(int) {}
 
-// fpKey packs a statement instance into a scheduler key.
-func fpKey(stmt ir.StmtID, ts int64) batch.Key {
-	return batch.Key{K1: uint64(uint32(stmt)), K2: uint64(ts)}
+// key places a statement instance for the kernel: its block execution,
+// its position in the block and the block's length. A statement the
+// program does not have gets index -1, which the kernel drops.
+func (g *Graph) key(stmt ir.StmtID, ts int64) batch.Key {
+	if uint(stmt) >= uint(len(g.p.Stmts)) {
+		return batch.Key{TS: ts, Idx: -1}
+	}
+	s := g.p.Stmts[stmt]
+	return batch.Key{Ref: uint64(stmt), TS: ts, Idx: int32(s.Idx), Width: int32(len(s.Block.Stmts))}
 }
 
 // Slice implements slicing.Slicer as the one-criterion kernel run.
@@ -32,10 +37,10 @@ func (g *Graph) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, erro
 }
 
 // SliceObserved implements slicing.Explainer: the one-criterion kernel
-// run, recording each traversed dependence into rec when non-nil (one
-// seed means one worker, so rec is never shared). Every FP dependence is
-// an explicit stored label, so all hops carry explain.KindExplicit — FP
-// is the accounting baseline the OPT attribution is compared against.
+// run, recording each traversed dependence into rec when non-nil. Every
+// FP dependence is an explicit stored label, so all hops carry
+// explain.KindExplicit — FP is the accounting baseline the OPT
+// attribution is compared against.
 func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slicing.Slice, *slicing.Stats, error) {
 	outs, stats, err := g.sliceAll([]slicing.Criterion{c}, rec)
 	if err != nil {
@@ -45,15 +50,14 @@ func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slic
 }
 
 // SliceAll implements slicing.MultiSlicer: N criteria are answered in one
-// work-stealing traversal per 64-criterion chunk. Each statement instance
-// carries a bitmask of the criteria whose slices reach it, merged through
-// the shared flat visited table, so a subgraph shared by several slices
-// is walked — and its per-slot label searches performed — once instead of
-// once per criterion. Per-worker label-block cursors answer clustered
-// probes from one decoded block (the block-granular merge), each search
-// starting where the previous one in that list ended. Every
-// returned slice is identical to what Slice would produce; the aggregate
-// stats count each unique instance and label probe once.
+// kernel run per 64-criterion chunk. Each statement instance carries a
+// bitmask of the criteria whose slices reach it, so a subgraph shared by
+// several slices is walked — and its per-slot label searches performed —
+// once instead of once per criterion. The run's label-block cursors
+// answer clustered probes from one decoded block (the block-granular
+// merge), each search starting where the previous one in that list
+// ended. Every returned slice is identical to what Slice would produce;
+// the aggregate stats count each unique instance and label probe once.
 func (g *Graph) SliceAll(cs []slicing.Criterion) ([]*slicing.Slice, *slicing.Stats, error) {
 	return g.sliceAll(cs, nil)
 }
@@ -72,29 +76,29 @@ func (g *Graph) sliceAll(cs []slicing.Criterion, rec *explain.Recorder) ([]*slic
 			start = d
 		}
 		rec.Criterion(start.stmt, start.ts)
-		keys[i] = fpKey(start.stmt, start.ts)
+		keys[i] = g.key(start.stmt, start.ts)
 	}
 	outs, stats, ctr := batch.Slices(batch.Config{
-		Workers:  int(g.workers.Load()),
-		NumStmts: len(g.p.Stmts),
-		Lists:    int(g.slotOff[len(g.p.Stmts)]) + len(g.cdEdges),
+		States:     &g.runs,
+		Timestamps: g.ts,
+		NumStmts:   len(g.p.Stmts),
+		Lists:      int(g.slotOff[len(g.p.Stmts)]) + len(g.cdEdges),
 		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
 			g.expandInstance(k, exp, stats, cc, rec)
 		},
 	}, keys)
 	if reg := g.tel; reg != nil {
-		reg.Counter("slice.batch.steals").Add(ctr.Steals)
 		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + ctr.BlockHits)
+		reg.Counter("slice.batch.dropped_keys").Add(ctr.Dropped)
 	}
 	return outs, stats, nil
 }
 
 // expandInstance resolves one statement instance's dependences — one
 // label search per use slot plus the enclosing block's control edge —
-// through the worker's block cursors, reporting each hop to rec.
+// through the run's block cursors, reporting each hop to rec.
 func (g *Graph) expandInstance(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, cc *labelblock.CursorCache, rec *explain.Recorder) {
-	stmt := ir.StmtID(int32(uint32(k.K1)))
-	ts := int64(k.K2)
+	stmt, ts := ir.StmtID(k.Ref), k.TS
 	stats.Instances++
 	rec.Visit(stmt, ts)
 	exp.Stmts = append(exp.Stmts, stmt)
@@ -108,7 +112,7 @@ func (g *Graph) expandInstance(k batch.Key, exp *batch.Expansion, stats *slicing
 				if rec != nil {
 					rec.Edge(stmt, ts, false, int32(i), ir.StmtID(def), td, explain.KindExplicit, false)
 				}
-				exp.Targets = append(exp.Targets, fpKey(ir.StmtID(def), td))
+				exp.Targets = append(exp.Targets, g.key(ir.StmtID(def), td))
 			}
 		}
 	}
@@ -118,6 +122,6 @@ func (g *Graph) expandInstance(k batch.Key, exp *batch.Expansion, stats *slicing
 		if rec != nil {
 			rec.Edge(stmt, ts, false, -1, ir.StmtID(anc), ta, explain.KindExplicit, true)
 		}
-		exp.Targets = append(exp.Targets, fpKey(ir.StmtID(anc), ta))
+		exp.Targets = append(exp.Targets, g.key(ir.StmtID(anc), ta))
 	}
 }

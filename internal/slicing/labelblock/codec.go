@@ -3,6 +3,7 @@ package labelblock
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -57,6 +58,16 @@ const minBlockBytes = 4
 // maxBlockPayload bounds an encoded block's byte size: three maximal
 // varints per pair (Tu delta, Td delta, aux delta).
 func maxBlockPayload(n uint64) uint64 { return n * 3 * binary.MaxVarintLen64 }
+
+// minBlockPayload is the smallest payload EncodeBlock writes for n pairs:
+// at least one byte for each of a pair's two varints, three with aux.
+// A header claiming more pairs than its payload can hold is corrupt.
+func minBlockPayload(n uint64, hasAux bool) uint64 {
+	if hasAux {
+		return 3 * n
+	}
+	return 2 * n
+}
 
 // AppendBlocks appends the block-sequence framing to dst: uvarint count,
 // then per block uvarint N, FirstTu, LastTu, payload length, payload.
@@ -120,7 +131,7 @@ func DecodeBlocks(data []byte, hasAux bool) (blocks []Block, rest []byte, err er
 		if sz, data, err = decUvarint(data, "block payload length"); err != nil {
 			return nil, nil, err
 		}
-		if sz > maxBlockPayload(n) {
+		if sz < minBlockPayload(n, hasAux) || sz > maxBlockPayload(n) {
 			return nil, nil, corrupt(ClassBadBlock, "payload of %d bytes for %d pairs", sz, n)
 		}
 		if uint64(len(data)) < sz {
@@ -226,9 +237,14 @@ func DecodeList(data []byte) (List, []byte, error) {
 		// Reject before allocating: a tail pair is two varints.
 		return l, nil, corrupt(ClassTruncated, "tail length %d exceeds remaining data", nTail)
 	}
-	var n int32
+	// Sum in int64: List.n is an int32, and many blocks can claim more
+	// pairs in total than it holds.
+	n := int64(nTail)
 	for i := range blocks {
-		n += blocks[i].N
+		n += int64(blocks[i].N)
+	}
+	if n > math.MaxInt32 {
+		return l, nil, corrupt(ClassBadBlock, "list of %d pairs", n)
 	}
 	if nTail > 0 {
 		l.tail = make([]Pair, nTail)
@@ -262,6 +278,6 @@ func DecodeList(data []byte) (List, []byte, error) {
 		}
 	}
 	l.blocks = blocks
-	l.n = n + int32(nTail)
+	l.n = int32(n)
 	return l, data, nil
 }

@@ -1,6 +1,7 @@
 package labelblock
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"slices"
@@ -109,6 +110,59 @@ func TestCompactSealsStraddlingTail(t *testing.T) {
 // and around every tail Tu, and a re-encoding that decodes to an equal
 // list. Block payloads are not validated at load, so a corrupt one must
 // decode short rather than panic.
+// overclaimedList is a 918-byte list record of 130 blocks, each claiming
+// 2^24 pairs over an empty payload: 2^31+ pairs in all, more than an
+// int32 length holds.
+func overclaimedList() []byte {
+	rec := []byte{0}
+	rec = binary.AppendUvarint(rec, 130)
+	for i := uint64(0); i < 130; i++ {
+		rec = binary.AppendUvarint(rec, 1<<24) // pairs
+		rec = binary.AppendUvarint(rec, i)     // first Tu
+		rec = binary.AppendUvarint(rec, i)     // last Tu
+		rec = binary.AppendUvarint(rec, 0)     // payload bytes
+	}
+	return binary.AppendUvarint(rec, 0) // empty tail
+}
+
+// TestDecodeListRejectsOverclaimedBlocks: a block whose payload is too
+// short for the pairs its header claims — under the one byte per varint
+// EncodeBlock writes — is bad_block, so no list decodes to a pair count
+// its bytes cannot hold, and none to a negative length. A payload of
+// exactly the minimum decodes.
+func TestDecodeListRejectsOverclaimedBlocks(t *testing.T) {
+	rec := overclaimedList()
+	if len(rec) != 918 {
+		t.Fatalf("record is %d bytes, want 918", len(rec))
+	}
+	block := func(flags byte, n uint64, payload []byte) []byte {
+		b := []byte{flags, 1}
+		b = binary.AppendUvarint(b, n)
+		b = append(b, 3, 9)
+		b = binary.AppendUvarint(b, uint64(len(payload)))
+		return append(append(b, payload...), 0)
+	}
+	for name, data := range map[string][]byte{
+		"130 blocks of 2^24 pairs": rec,
+		"3 pairs in 5 bytes":       block(0, 3, make([]byte, 5)),
+		"2 aux pairs in 5 bytes":   block(flagAux, 2, make([]byte, 5)),
+	} {
+		l, _, err := DecodeList(data)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Class != ClassBadBlock {
+			t.Errorf("%s: Len %d, err %v; want bad_block", name, l.Len(), err)
+		}
+	}
+	for name, data := range map[string][]byte{
+		"2 pairs in 4 bytes":     block(0, 2, []byte{0, 0, 6, 0}),
+		"2 aux pairs in 6 bytes": block(flagAux, 2, []byte{0, 0, 0, 6, 0, 0}),
+	} {
+		if l, _, err := DecodeList(data); err != nil || l.Len() != 2 {
+			t.Errorf("%s: Len %d, err %v; want 2 pairs", name, l.Len(), err)
+		}
+	}
+}
+
 func FuzzDecodeList(f *testing.F) {
 	for _, hasAux := range []bool{false, true} {
 		for _, n := range []int{0, 5, 2*BlockSize + 5} {
@@ -122,6 +176,7 @@ func FuzzDecodeList(f *testing.F) {
 		bad = append(bad, 0xFF)
 	}
 	f.Add(append(bad, 0))
+	f.Add(overclaimedList())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, _, err := DecodeList(data)
 		if err != nil {
@@ -130,6 +185,9 @@ func FuzzDecodeList(f *testing.F) {
 				t.Fatalf("unclassified error %T: %v", err, err)
 			}
 			return
+		}
+		if l.Len() < 0 {
+			t.Fatalf("decoded list has length %d", l.Len())
 		}
 		if l.Dirty() || l.flags&flagStraddle != 0 {
 			t.Fatalf("decoded list has flags %#x", l.flags)
@@ -146,8 +204,8 @@ func FuzzDecodeList(f *testing.F) {
 				t.Fatalf("Find(%d) = %d,%v: not a pair the list holds", p.Tu, td, ok)
 			}
 		}
-		cc := GetCursorCache(1)
-		defer cc.Release()
+		var cc CursorCache
+		cc.Reset(1)
 		probe := func(tu int64) {
 			l.Find(tu)
 			cc.Find(0, &l, tu)

@@ -1,18 +1,15 @@
 package labelblock
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
-// Cursor is one worker's position in one List: the block it decoded last
+// Cursor is one traversal's position in one List: the block it decoded last
 // and the index at which its previous search ended, in that block and in
 // the tail. A traversal resolves timestamps that cluster around the one it
 // resolved last against the same list, so each search gallops outward
 // from where the previous one stopped instead of starting over: almost
 // every answer lies within a few entries of it. A block is decoded once
 // and searched from its decoded pairs until a probe leaves its Tu range.
-// A Cursor is single-goroutine state (each worker owns a CursorCache);
+// A Cursor is single-goroutine state (each run owns a CursorCache);
 // the underlying List must be sealed (sorted) and is not mutated while a
 // cursor is in use.
 type Cursor struct {
@@ -125,13 +122,14 @@ func gallop(ps []Pair, at int, tu int64) (int, int64) {
 	return lo, probes
 }
 
-// CursorCache is one worker's cursor table: one Cursor per list number,
-// the numbering being the caller's (OPT numbers its label lists, FP its
-// use slots and then its blocks). Tables are recycled across runs, so a
-// query reuses the decode buffers of earlier ones instead of allocating
-// them; each run stamps its table afresh, and a cursor an earlier run left
-// behind is reset on first use, so no search position or count carries
-// over from one query to the next.
+// CursorCache is one traversal's cursor table: one Cursor per list
+// number, the numbering being the caller's (OPT numbers its label lists,
+// FP its use slots and then its blocks). A table is reused across runs,
+// so a query reuses the decode buffers of earlier ones instead of
+// allocating them; each run stamps its table afresh (Reset), and a cursor
+// an earlier run left behind is reset on first use, so no search position
+// or count carries over from one query to the next. The zero value is an
+// empty table.
 type CursorCache struct {
 	cs  []Cursor
 	gen uint32
@@ -140,12 +138,8 @@ type CursorCache struct {
 	Hits int64
 }
 
-var cursorCaches = sync.Pool{New: func() any { return new(CursorCache) }}
-
-// GetCursorCache returns a reset table for lists numbered [0, n),
-// recycled from an earlier run when one is free.
-func GetCursorCache(n int) *CursorCache {
-	cc := cursorCaches.Get().(*CursorCache)
+// Reset readies the table for a run over lists numbered [0, n).
+func (cc *CursorCache) Reset(n int) {
 	if cap(cc.cs) < n {
 		cc.cs = make([]Cursor, n)
 	}
@@ -159,12 +153,7 @@ func GetCursorCache(n int) *CursorCache {
 		cc.gen = 1
 	}
 	cc.Hits = 0
-	return cc
 }
-
-// Release hands the table back for a later run; the caller must not use
-// it afterwards.
-func (cc *CursorCache) Release() { cursorCaches.Put(cc) }
 
 // Find is l.Find through the cursor of list number id.
 func (cc *CursorCache) Find(id int, l *List, tu int64) (td int64, aux int32, probes int64, found bool) {

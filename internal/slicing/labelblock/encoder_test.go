@@ -143,9 +143,9 @@ func TestCursorCacheFind(t *testing.T) {
 	lists := []*List{&l, &l2}
 	limit := int64(n*3 + 10)
 
+	var cc CursorCache
 	run := func() (probes, hits int64) {
-		cc := GetCursorCache(len(lists))
-		defer cc.Release()
+		cc.Reset(len(lists))
 		check := func(id int, tu int64) {
 			wantTd, wantAux, _, wantOk := lists[id].Find(tu)
 			gotTd, gotAux, p, gotOk := cc.Find(id, lists[id], tu)

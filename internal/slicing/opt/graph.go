@@ -6,6 +6,7 @@ import (
 
 	"dynslice/internal/ir"
 	"dynslice/internal/profile"
+	"dynslice/internal/slicing/batch"
 	"dynslice/internal/slicing/labelblock"
 	"dynslice/internal/telemetry"
 )
@@ -406,8 +407,8 @@ type Graph struct {
 	// Epoch-parallel block sealing (nil: inline); see SetParallelEncode.
 	enc *labelblock.Encoder
 
-	// Batched-query pool bound (0 = GOMAXPROCS); see SetWorkers.
-	workers atomic.Int32
+	// Recycled query kernel states; see slice.go.
+	runs batch.FreeList
 
 	// Builder scratch.
 	ctxPool    []*execCtx

@@ -175,7 +175,7 @@ func (g *Graph) flushEpoch() error {
 }
 
 // findLabel searches l for tu: resident pairs first (through cc, the
-// caller's per-worker cursor table), then the epoch file whose range
+// run's cursor table), then the epoch file whose range
 // contains tu (loaded on demand, one-epoch cache). An observer is told
 // about each actual epoch-file load charged to its query.
 func (g *Graph) findLabel(l *Labels, tu int64, cc *labelblock.CursorCache, obs *explain.Recorder) (int64, int64, bool) {

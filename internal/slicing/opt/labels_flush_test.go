@@ -128,11 +128,11 @@ func FuzzLabelsFindRoundTrip(f *testing.F) {
 			t.Fatalf("Find(%d) hit; value was never appended", probe)
 		}
 
-		cc := labelblock.GetCursorCache(1)
-		defer cc.Release()
+		var cc labelblock.CursorCache
+		cc.Reset(1)
 		viaCursor := func(u int64) {
 			wantTd, _, wantOk := l.Find(u)
-			got, _, ok := l.findCursor(cc, u)
+			got, _, ok := l.findCursor(&cc, u)
 			if ok != wantOk || got != wantTd {
 				t.Fatalf("cursor Find(%d) = %d,%v want %d,%v over %d pairs", u, got, ok, wantTd, wantOk, len(want))
 			}

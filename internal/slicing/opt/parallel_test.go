@@ -12,6 +12,7 @@ import (
 	"dynslice/internal/slicing"
 	"dynslice/internal/slicing/explain"
 	"dynslice/internal/slicing/opt"
+	"dynslice/internal/telemetry"
 	"dynslice/internal/trace"
 )
 
@@ -103,7 +104,8 @@ func criteria(addrs []int64) []slicing.Criterion {
 // TestSliceAllMatchesSequential: the batched traversal must produce, for
 // every defined address, exactly the slice the sequential traversal
 // produces — with and without shortcut closures, and across the
-// 64-criterion chunk boundary.
+// 64-criterion chunk boundary. No key of a valid graph falls outside the
+// kernel's timestamp range or its node execution's width.
 func TestSliceAllMatchesSequential(t *testing.T) {
 	cfgs := map[string]opt.Config{
 		"full":         opt.Full(),
@@ -116,6 +118,13 @@ func TestSliceAllMatchesSequential(t *testing.T) {
 			if len(addrs) <= 64 {
 				t.Fatalf("want >64 criteria to cross a chunk boundary, have %d", len(addrs))
 			}
+			reg := telemetry.New()
+			g.SetTelemetry(reg)
+			defer func() {
+				if n := reg.Counter("slice.batch.dropped_keys").Value(); n != 0 {
+					t.Errorf("%d keys dropped on a valid graph", n)
+				}
+			}()
 			batched, _, err := g.SliceAll(criteria(addrs))
 			if err != nil {
 				t.Fatal(err)
@@ -160,10 +169,11 @@ func checkOneCriterionRuns(t *testing.T, g *opt.Graph, a int64) *slicing.Slice {
 	return seq
 }
 
-// TestSliceAllWorkerSweep crosses scheduler pool sizes with criteria
-// counts straddling the 64-bit chunk boundaries (1, 63, 64, 65, and 200
-// with duplicated addresses): every combination must reproduce the
-// sequential answer, shortcut closures included.
+// TestSliceAllWorkerSweep crosses SetWorkers values — a no-op kept for
+// callers that still size a pool — with criteria counts straddling the
+// 64-bit chunk boundaries (1, 63, 64, 65, and 200 with duplicated
+// addresses): every combination must reproduce the sequential answer,
+// shortcut closures included.
 func TestSliceAllWorkerSweep(t *testing.T) {
 	g, addrs := buildFull(t, opt.Full(), 0)
 	seq := map[int64]*slicing.Slice{}

@@ -19,43 +19,62 @@ import (
 //
 // There is one traversal: every query runs on the shared kernel in
 // internal/slicing/batch. Slice and SliceObserved are its one-criterion
-// case (one worker, no memo), SliceAll its batched one. Each traversal
-// point — a statement instance or a pending use-slot redirect — carries a
-// bitmask of the criteria whose slices it belongs to, merged through the
-// kernel's sharded flat visited table, so a subgraph shared by several
-// slices (the common case: the paper's 25 criteria are all end-of-run
+// case (no memo), SliceAll its batched one. Each traversal point — a
+// statement instance or a pending use-slot redirect — carries a bitmask
+// of the criteria whose slices it belongs to, kept in the kernel's
+// timestamp-indexed visited state, so a subgraph shared by several slices
+// (the common case: the paper's 25 criteria are all end-of-run
 // definitions that converge on the program's core) is walked once instead
 // of once per criterion, and its dependence resolution (label probes,
 // default-edge inference) is memoized once per unique (location,
 // timestamp) rather than recomputed for every criterion that reaches it.
-// Expansion goes through resolveUseDep/resolveCDDep, answered through
-// per-worker label-block cursors; an observed query's explain.Recorder
-// sees each resolved hop as it is expanded.
+// Expansion goes through resolveUseDep/resolveCDDep, answered through the
+// run's label-block cursors; an observed query's explain.Recorder sees
+// each resolved hop as it is expanded.
 
 var _ slicing.Explainer = (*Graph)(nil)
 
-// SetWorkers bounds the worker pool batched queries (SliceAll) run on;
-// n <= 0 means GOMAXPROCS. Atomic, so concurrent engine callers may
-// retune it between (but not during) their own queries.
-func (g *Graph) SetWorkers(n int) { g.workers.Store(int32(n)) }
+// SetWorkers is a no-op: every query runs one loop on the caller's
+// goroutine. It stays for callers that still size a batch pool.
+func (g *Graph) SetWorkers(int) {}
 
-// optKey packs a traversal point — a statement instance (slot == -1) or a
-// use-slot redirect introduced by a use-use edge — into a scheduler key.
-// Timestamps are node ordinals, non-negative for every key that reaches
-// the scheduler (expander.add drops out-of-range inferences), so the shifted
-// packing is collision-free.
-func optKey(loc InstLoc, ts int64, slot int32) batch.Key {
+// key places a traversal point for the kernel. A timestamp is one node
+// execution, whose points are its statement copies followed by its use
+// slots: a statement instance (slot == -1) sits at its copy's index, a
+// use-slot redirect introduced by a use-use edge at
+// len(Stmts)+UseOff+slot. A location the graph does not have gets index
+// -1, which the kernel drops; so does a timestamp outside [0, g.ts), an
+// inference rule having fired for a timestamp it has no evidence about
+// (possible only after graph corruption).
+func (g *Graph) key(loc InstLoc, ts int64, slot int32) batch.Key {
+	if uint(loc.Node) >= uint(len(g.nodes)) {
+		return batch.Key{TS: ts, Idx: -1}
+	}
+	n := g.nodes[loc.Node]
+	if uint(loc.Stmt) >= uint(len(n.Stmts)) || slot < -1 || slot >= int32(n.nUses(loc.Stmt)) {
+		return batch.Key{TS: ts, Idx: -1}
+	}
+	idx := loc.Stmt
+	if slot >= 0 {
+		idx = int32(len(n.Stmts)) + n.Stmts[loc.Stmt].UseOff + slot
+	}
 	return batch.Key{
-		K1: uint64(uint32(loc.Node))<<32 | uint64(uint32(loc.Stmt)),
-		K2: uint64(ts)<<16 | uint64(uint16(slot+2)),
+		Ref:   uint64(uint32(loc.Node))<<32 | uint64(uint32(loc.Stmt)),
+		TS:    ts,
+		Idx:   idx,
+		Width: int32(len(n.Stmts) + len(n.UseSets)),
 	}
 }
 
-func unpackKey(k batch.Key) (loc InstLoc, ts int64, slot int32) {
-	loc = InstLoc{Node: NodeID(int32(k.K1 >> 32)), Stmt: int32(uint32(k.K1))}
-	ts = int64(k.K2 >> 16)
-	slot = int32(uint16(k.K2)) - 2
-	return loc, ts, slot
+// locate unpacks a key placed by key.
+func (g *Graph) locate(k batch.Key) (loc InstLoc, ts int64, slot int32) {
+	loc = InstLoc{Node: NodeID(int32(k.Ref >> 32)), Stmt: int32(uint32(k.Ref))}
+	slot = -1
+	if k.Idx != loc.Stmt {
+		n := g.nodes[loc.Node]
+		slot = k.Idx - int32(len(n.Stmts)) - n.Stmts[loc.Stmt].UseOff
+	}
+	return loc, k.TS, slot
 }
 
 // Slice implements slicing.Slicer as the one-criterion kernel run.
@@ -68,8 +87,7 @@ func (g *Graph) Slice(c slicing.Criterion) (*slicing.Slice, *slicing.Stats, erro
 }
 
 // SliceObserved implements slicing.Explainer: the one-criterion kernel
-// run, recording each resolved dependence hop into rec when non-nil (one
-// seed means one worker, so rec is never shared).
+// run, recording each resolved dependence hop into rec when non-nil.
 func (g *Graph) SliceObserved(c slicing.Criterion, rec *explain.Recorder) (*slicing.Slice, *slicing.Stats, error) {
 	outs, stats, err := g.sliceAll([]slicing.Criterion{c}, rec)
 	if err != nil {
@@ -101,30 +119,31 @@ func (g *Graph) sliceAll(cs []slicing.Criterion, rec *explain.Recorder) ([]*slic
 		if rec != nil {
 			rec.Criterion(g.StmtAt(d.Loc).ID, d.Ts)
 		}
-		keys[i] = optKey(d.Loc, d.Ts, -1)
+		keys[i] = g.key(d.Loc, d.Ts, -1)
 	}
 	var closures *closureTable
 	if g.cfg.Shortcuts {
 		closures = g.shortcuts()
 	}
 	outs, stats, ctr := batch.Slices(batch.Config{
-		Workers:  int(g.workers.Load()),
-		NumStmts: len(g.p.Stmts),
-		Lists:    len(g.allLabels),
+		States:     &g.runs,
+		Timestamps: g.ts,
+		NumStmts:   len(g.p.Stmts),
+		Lists:      len(g.allLabels),
 		Expand: func(k batch.Key, exp *batch.Expansion, stats *slicing.Stats, cc *labelblock.CursorCache) {
 			x := expander{g: g, closures: closures, exp: exp, stats: stats, cc: cc, rec: rec}
 			x.point(k)
 		},
 	}, keys)
 	if reg := g.tel; reg != nil {
-		reg.Counter("slice.batch.steals").Add(ctr.Steals)
 		reg.Counter("slice.batch.block_merges").Add(ctr.Merges + ctr.BlockHits)
+		reg.Counter("slice.batch.dropped_keys").Add(ctr.Dropped)
 	}
 	return outs, stats, nil
 }
 
 // expander resolves one traversal point into the kernel's expansion
-// buffer, through one worker's label-block cursors and the graph's
+// arenas, through the run's label-block cursors and the graph's
 // shortcut closures (nil when shortcuts are off); rec (nil unless the
 // query is observed) sees every resolved hop.
 type expander struct {
@@ -141,7 +160,7 @@ type expander struct {
 // (slot >= 0: that one use slot, without adding its statement).
 func (x *expander) point(k batch.Key) {
 	g := x.g
-	loc, ts, slot := unpackKey(k)
+	loc, ts, slot := g.locate(k)
 	if slot >= 0 {
 		x.use(loc, slot, ts, true)
 		return
@@ -227,15 +246,9 @@ func (x *expander) cd(node NodeID, occIdx int32, ts int64, fromSi int32) {
 func (x *expander) add(d dep) {
 	switch d.kind {
 	case depInst:
-		if d.ts < 0 || d.ts >= x.g.ts {
-			// Out of the executed timestamp range: an inference rule fired
-			// for a timestamp it has no evidence about (possible only after
-			// graph corruption); drop rather than fabricate instances.
-			return
-		}
-		x.exp.Targets = append(x.exp.Targets, optKey(d.loc, d.ts, -1))
+		x.exp.Targets = append(x.exp.Targets, x.g.key(d.loc, d.ts, -1))
 	case depUse:
-		x.exp.Targets = append(x.exp.Targets, optKey(d.loc, d.ts, d.slot))
+		x.exp.Targets = append(x.exp.Targets, x.g.key(d.loc, d.ts, d.slot))
 	}
 }
 
