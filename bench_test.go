@@ -209,7 +209,8 @@ func BenchmarkFig18(b *testing.B) {
 }
 
 // BenchmarkBuild compares graph construction: per-sink sequential trace
-// replays versus one shared pipelined pass feeding FP and OPT together.
+// replays versus one replay feeding FP and OPT together, each through its
+// own trace.Async worker as Record feeds its OPT builder.
 func BenchmarkBuild(b *testing.B) {
 	res := build(b, bench.Options{WithFP: true, WithOPT: true})
 	prof, cuts := bench.Reprofile(b, res)
@@ -238,14 +239,7 @@ func BenchmarkBuild(b *testing.B) {
 		b.ReportAllocs()
 		bytesPerDep(b)
 		for i := 0; i < b.N; i++ {
-			f, err := os.Open(res.TracePath)
-			if err != nil {
-				b.Fatal(err)
-			}
-			err = trace.ParallelReplay(res.P, f, trace.PipelineConfig{},
-				bench.NewFPGraph(res.P), bench.NewOPTGraph(res.P, prof, cuts))
-			f.Close()
-			if err != nil {
+			if err := bench.ReplayPipelined(res, bench.NewFPGraph(res.P), bench.NewOPTGraph(res.P, prof, cuts)); err != nil {
 				b.Fatal(err)
 			}
 		}

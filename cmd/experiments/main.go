@@ -14,13 +14,15 @@
 // experiment builds every workload with metrics attached and writes
 // per-benchmark graph sizes, per-optimization label-elimination counts,
 // and slice times to -telemetry-out. The parallel experiment compares the
-// pipelined build and the batched/concurrent 25-criteria query paths
-// against their sequential GOMAXPROCS=1 baselines and writes per-workload
-// speedups to -parallel-out (see docs/PERFORMANCE.md). The memory
-// experiment builds each workload's FP and OPT graphs with delta-varint
-// label blocks, compares their label bytes with the flat-pair size model
-// (16 B a pair, plus FP's 4 B aux column), checks every slice against
-// LP's, and writes resident-bytes records to -memory-out.
+// pipelined build (one trace decode feeding the FP and OPT builders, each
+// through its own trace.Async worker) and the batched 25-criteria query
+// paths against their sequential GOMAXPROCS=1 baselines and writes
+// per-workload speedups to -parallel-out (see docs/PERFORMANCE.md). The
+// memory experiment builds each workload's FP and OPT graphs with
+// delta-varint label blocks, compares their label bytes with the
+// flat-pair size model (16 B a pair, plus FP's 4 B aux column), checks
+// every slice against LP's, and writes resident-bytes records to
+// -memory-out.
 // The explain experiment runs every criterion as an observed query on
 // FP, OPT, and LP, and writes the aggregate explicit-vs-inferred edge
 // resolution breakdown (the measurable counterpart of the paper's

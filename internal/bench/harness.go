@@ -30,12 +30,6 @@ type Options struct {
 	TraceDir   string              // directory for the LP trace file (default: temp)
 	SegBlocks  int                 // trace segment granularity (default 4096)
 	Telemetry  *telemetry.Registry // optional; phase spans + pipeline counters
-	// Pipeline builds all requested graphs from ONE pipelined trace pass
-	// (trace.ParallelReplayTimed) instead of one sequential replay per
-	// graph: decode overlaps graph construction, and FP/OPT/stage builders
-	// run concurrently on the shared decoded-batch feed. FPBuild/OPTBuild
-	// then report per-sink busy time (cost net of pipeline idle).
-	Pipeline bool
 }
 
 // Result bundles everything built for one workload, with the preprocessing
@@ -157,43 +151,37 @@ func Build(w Workload, o Options) (*Result, error) {
 		return time.Since(start), nil
 	}
 
-	if o.Pipeline {
-		if err := buildPipelined(res, o, hot, col.Cuts(), rmet, span); err != nil {
-			return nil, fmt.Errorf("bench %s pipelined build: %w", w.Name, err)
+	if o.WithFP {
+		res.FP = fp.NewGraph(p)
+		res.FP.SetTelemetry(reg)
+		sp = span.Child("fp-build")
+		res.FPBuild, err = replay(res.FP)
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("bench %s fp build: %w", w.Name, err)
 		}
-	} else {
-		if o.WithFP {
-			res.FP = fp.NewGraph(p)
-			res.FP.SetTelemetry(reg)
-			sp = span.Child("fp-build")
-			res.FPBuild, err = replay(res.FP)
-			sp.End()
-			if err != nil {
-				return nil, fmt.Errorf("bench %s fp build: %w", w.Name, err)
-			}
+	}
+	if o.WithOPT {
+		cfg := opt.Full()
+		if o.OptConfig != nil {
+			cfg = *o.OptConfig
 		}
-		if o.WithOPT {
-			cfg := opt.Full()
-			if o.OptConfig != nil {
-				cfg = *o.OptConfig
-			}
-			res.OPT = opt.NewGraph(p, cfg, hot, col.Cuts())
-			res.OPT.SetTelemetry(reg)
-			sp = span.Child("opt-build")
-			res.OPTBuild, err = replay(res.OPT)
-			sp.End()
-			if err != nil {
-				return nil, fmt.Errorf("bench %s opt build: %w", w.Name, err)
-			}
+		res.OPT = opt.NewGraph(p, cfg, hot, col.Cuts())
+		res.OPT.SetTelemetry(reg)
+		sp = span.Child("opt-build")
+		res.OPTBuild, err = replay(res.OPT)
+		sp.End()
+		if err != nil {
+			return nil, fmt.Errorf("bench %s opt build: %w", w.Name, err)
 		}
-		if o.WithStages {
-			for stage := 0; stage <= 7; stage++ {
-				g := opt.NewGraph(p, opt.Stage(stage), hot, col.Cuts())
-				if _, err = replay(g); err != nil {
-					return nil, fmt.Errorf("bench %s stage %d build: %w", w.Name, stage, err)
-				}
-				res.Stages = append(res.Stages, g)
+	}
+	if o.WithStages {
+		for stage := 0; stage <= 7; stage++ {
+			g := opt.NewGraph(p, opt.Stage(stage), hot, col.Cuts())
+			if _, err = replay(g); err != nil {
+				return nil, fmt.Errorf("bench %s stage %d build: %w", w.Name, stage, err)
 			}
+			res.Stages = append(res.Stages, g)
 		}
 	}
 	if o.WithLP {
@@ -201,62 +189,6 @@ func Build(w Workload, o Options) (*Result, error) {
 		res.LP.SetTelemetry(reg)
 	}
 	return res, nil
-}
-
-// buildPipelined constructs every requested graph from one pipelined
-// trace pass: the decode stage runs once and fans pooled record batches
-// out to the FP, OPT, and stage builders concurrently. FPBuild/OPTBuild
-// are the per-sink busy times (apply cost net of pipeline idle time).
-func buildPipelined(res *Result, o Options, hot []*profile.PathProfile, cuts *profile.Cuts, rmet *trace.Metrics, span *telemetry.Span) error {
-	reg := o.Telemetry
-	var sinks []trace.Sink
-	fpIdx, optIdx := -1, -1
-	if o.WithFP {
-		res.FP = fp.NewGraph(res.P)
-		res.FP.SetTelemetry(reg)
-		res.FP.SetParallelEncode(0)
-		fpIdx = len(sinks)
-		sinks = append(sinks, res.FP)
-	}
-	if o.WithOPT {
-		cfg := opt.Full()
-		if o.OptConfig != nil {
-			cfg = *o.OptConfig
-		}
-		res.OPT = opt.NewGraph(res.P, cfg, hot, cuts)
-		res.OPT.SetTelemetry(reg)
-		res.OPT.SetParallelEncode(0)
-		optIdx = len(sinks)
-		sinks = append(sinks, res.OPT)
-	}
-	if o.WithStages {
-		for stage := 0; stage <= 7; stage++ {
-			g := opt.NewGraph(res.P, opt.Stage(stage), hot, cuts)
-			res.Stages = append(res.Stages, g)
-			sinks = append(sinks, g)
-		}
-	}
-	if len(sinks) == 0 {
-		return nil
-	}
-	f, err := os.Open(res.TracePath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sp := span.Child("pipelined-build")
-	busy, err := trace.ParallelReplayTimed(res.P, f, trace.PipelineConfig{}, rmet, sinks...)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	if fpIdx >= 0 {
-		res.FPBuild = busy[fpIdx]
-	}
-	if optIdx >= 0 {
-		res.OPTBuild = busy[optIdx]
-	}
-	return nil
 }
 
 func sanitize(s string) string {

@@ -26,10 +26,12 @@ import (
 // repeated verbatim on every row of a workload, so each row's speedups
 // read directly as "contender at this GOMAXPROCS vs the sequential
 // baseline". The contenders run under the row's GOMAXPROCS: the
-// pipelined build (with epoch-parallel label encoding) uses the extra
-// procs; the batched SliceAll is one loop on the calling goroutine either
-// way, so its row-to-row spread is the runtime's (the garbage collector
-// runs beside it) and the host's noise. Batching wins on one proc — LP
+// pipelined build decodes the trace once and feeds the FP and OPT
+// builders each through its own trace.Async, as Record feeds its OPT
+// builder, so decoding and both builds can use up to three procs; the
+// batched SliceAll is one loop on the calling goroutine either way, so
+// its row-to-row spread is the runtime's (the garbage collector runs
+// beside it) and the host's noise. Batching wins on one proc — LP
 // shares one backward scan, OPT shares the visited state and memoized
 // expansions across criteria. See docs/PERFORMANCE.md ("Batch
 // scheduling") for how to read these numbers.
@@ -175,22 +177,10 @@ func measureParallel(res *Result) ([]ParallelBench, error) {
 		pb.OPTSeqMs = ms(optSeq)
 		pb.LPSeqMs = ms(lpSeq)
 
-		// Pipelined construction: one shared decode pass fanning to both
-		// builders, each sealing label epochs on encode workers.
 		pipeBuild := time.Duration(1 << 62)
 		for rep := 0; rep < parallelReps; rep++ {
 			t0 := time.Now()
-			fpg := fp.NewGraph(res.P)
-			fpg.SetParallelEncode(procs)
-			og := opt.NewGraph(res.P, opt.Full(), hot, cuts)
-			og.SetParallelEncode(procs)
-			f, err := os.Open(res.TracePath)
-			if err != nil {
-				runtime.GOMAXPROCS(old)
-				return nil, err
-			}
-			err = trace.ParallelReplay(res.P, f, trace.PipelineConfig{}, fpg, og)
-			f.Close()
+			err := ReplayPipelined(res, fp.NewGraph(res.P), opt.NewGraph(res.P, opt.Full(), hot, cuts))
 			if err != nil {
 				runtime.GOMAXPROCS(old)
 				return nil, err
@@ -239,6 +229,20 @@ func replayFile(res *Result, sink trace.Sink) error {
 	}
 	defer f.Close()
 	return trace.Replay(res.P, f, sink)
+}
+
+// ReplayPipelined replays the recorded trace once into every builder,
+// each wrapped in its own trace.Async as Record wraps its OPT builder, so
+// decoding and the builds overlap (the pipelined build of
+// BENCH_parallel.json and BenchmarkBuild).
+func ReplayPipelined(res *Result, builders ...trace.Sink) error {
+	sinks := make(trace.Multi, len(builders))
+	for i, b := range builders {
+		a := trace.NewAsync(b, trace.PipelineConfig{})
+		defer a.Close() // reclaims the worker if the replay fails before End
+		sinks[i] = a
+	}
+	return replayFile(res, sinks)
 }
 
 // sliceLoop is the sequential baseline: one Slice call per criterion.

@@ -6,54 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dynslice/internal/slicing"
 )
-
-// TestPipelinedBuildMatchesSequential: graphs built from one shared
-// pipelined trace pass must answer every criterion identically to graphs
-// built by per-sink sequential replays.
-func TestPipelinedBuildMatchesSequential(t *testing.T) {
-	w, ok := ByName("181.mcf")
-	if !ok {
-		t.Fatal("workload 181.mcf missing")
-	}
-	seq, err := Build(w, Options{WithFP: true, WithOPT: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
-	pipe, err := Build(w, Options{WithFP: true, WithOPT: true, Pipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-	if pipe.FPBuild <= 0 || pipe.OPTBuild <= 0 {
-		t.Errorf("pipelined build must report per-sink busy times, got fp=%v opt=%v",
-			pipe.FPBuild, pipe.OPTBuild)
-	}
-	for _, a := range seq.Crit {
-		c := slicing.AddrCriterion(a)
-		want, _, err := seq.FP.Slice(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotFP, _, err := pipe.FP.Slice(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !want.Equal(gotFP) {
-			t.Errorf("criterion %d: pipelined FP slice diverges", a)
-		}
-		gotOPT, _, err := pipe.OPT.Slice(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !want.Equal(gotOPT) {
-			t.Errorf("criterion %d: pipelined OPT slice diverges", a)
-		}
-	}
-}
 
 // TestRunParallelSmoke runs the parallel experiment end to end on one
 // workload and checks the JSON it emits.

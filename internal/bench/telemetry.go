@@ -5,13 +5,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
+	"dynslice/internal/slicing"
 	"dynslice/internal/telemetry"
 )
 
 // BenchTelemetry is one workload's observability record: graph shapes,
 // per-optimization label-elimination tallies, per-algorithm query times,
 // and the full metrics snapshot collected while building and slicing.
+//
+// SliceAvgMs is the mean time per criterion, as the median of
+// telemetryPasses timed passes over the criteria; SliceSpreadMs is the
+// range (slowest minus fastest) of the same passes, so a ratio between
+// two backends can be read against run-to-run noise.
 type BenchTelemetry struct {
 	Name            string              `json:"name"`
 	Steps           int64               `json:"steps"`
@@ -23,8 +30,13 @@ type BenchTelemetry struct {
 	StageLabelPairs map[string]int64    `json:"stage_label_pairs"`
 	Elim            map[string]int64    `json:"elim"`
 	SliceAvgMs      map[string]float64  `json:"slice_avg_ms"`
+	SliceSpreadMs   map[string]float64  `json:"slice_spread_ms"`
 	Snapshot        *telemetry.Snapshot `json:"snapshot"`
 }
+
+// telemetryPasses is how many timed passes feed each backend's
+// slice_avg_ms: the median of three is robust to one slow pass.
+const telemetryPasses = 3
 
 // RunTelemetry builds every workload with a fresh registry, runs all
 // three slicers over the standard criteria, and writes the per-benchmark
@@ -52,7 +64,6 @@ func RunTelemetry(w io.Writer, workloads []Workload, outPath string) error {
 			OPTLabelPairs:   res.OPT.LabelPairs(),
 			PathNodes:       res.OPT.PathNodes(),
 			StageLabelPairs: map[string]int64{},
-			SliceAvgMs:      map[string]float64{},
 		}
 		for i, g := range res.Stages {
 			bt.StageLabelPairs[stageNames[i]] = g.LabelPairs()
@@ -75,19 +86,7 @@ func RunTelemetry(w io.Writer, workloads []Workload, outPath string) error {
 			"cd_labels":     e.CDLabels,
 			"cd_execs":      e.CDExecs,
 		}
-		if t, _, _, err := SliceAll(res.FP, res.Crit); err == nil && len(res.Crit) > 0 {
-			bt.SliceAvgMs["FP"] = ms(t) / float64(len(res.Crit))
-		} else if err != nil {
-			return err
-		}
-		if t, _, _, err := SliceAll(res.OPT, res.Crit); err == nil && len(res.Crit) > 0 {
-			bt.SliceAvgMs["OPT"] = ms(t) / float64(len(res.Crit))
-		} else if err != nil {
-			return err
-		}
-		if t, _, _, err := SliceAll(res.LP, res.Crit); err == nil && len(res.Crit) > 0 {
-			bt.SliceAvgMs["LP"] = ms(t) / float64(len(res.Crit))
-		} else if err != nil {
+		if bt.SliceAvgMs, bt.SliceSpreadMs, err = timeBackends(res); err != nil {
 			return err
 		}
 		bt.Snapshot = reg.Snapshot()
@@ -109,4 +108,36 @@ func RunTelemetry(w io.Writer, workloads []Workload, outPath string) error {
 		fmt.Fprintf(w, "\nwrote %s\n", outPath)
 	}
 	return nil
+}
+
+// timeBackends runs the criteria through FP, OPT and LP telemetryPasses
+// times, the backends taking turns within each pass so that host drift
+// reaches all three alike. It returns each backend's median and range of
+// the per-pass mean time per criterion.
+func timeBackends(res *Result) (avg, spread map[string]float64, err error) {
+	backends := []struct {
+		name string
+		s    slicing.Slicer
+	}{{"FP", res.FP}, {"OPT", res.OPT}, {"LP", res.LP}}
+	avg, spread = map[string]float64{}, map[string]float64{}
+	if len(res.Crit) == 0 {
+		return avg, spread, nil
+	}
+	passes := make([][]float64, len(backends))
+	for range telemetryPasses {
+		for i, b := range backends {
+			t, _, _, err := SliceAll(b.s, res.Crit)
+			if err != nil {
+				return nil, nil, err
+			}
+			passes[i] = append(passes[i], ms(t)/float64(len(res.Crit)))
+		}
+	}
+	for i, b := range backends {
+		ps := passes[i]
+		slices.Sort(ps)
+		avg[b.name] = ps[len(ps)/2]
+		spread[b.name] = ps[len(ps)-1] - ps[0]
+	}
+	return avg, spread, nil
 }

@@ -107,15 +107,6 @@ func PostDominators(f *ir.Func) *PostDom {
 	return pd
 }
 
-// IPostDom returns the immediate postdominator of b (nil if unknown).
-func (pd *PostDom) IPostDom(b *ir.Block) *ir.Block {
-	p := pd.ipdom[b]
-	if p == b {
-		return nil
-	}
-	return p
-}
-
 // PostDominates reports whether a postdominates b (reflexively).
 func (pd *PostDom) PostDominates(a, b *ir.Block) bool {
 	for {
@@ -166,18 +157,6 @@ func ControlDeps(f *ir.Func, pd *PostDom) {
 		// Deterministic order.
 		sortBlocks(b.CDAncestors)
 	}
-}
-
-// CDSuccs returns the successors s of branch block h for which b
-// postdominates s — the branch outcomes of h that force b to execute.
-func CDSuccs(pd *PostDom, h, b *ir.Block) []*ir.Block {
-	var out []*ir.Block
-	for _, s := range h.Succs {
-		if pd.PostDominates(b, s) {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 func sortBlocks(bs []*ir.Block) {

@@ -34,54 +34,3 @@ func LogicalChain(head *Block) []*Block {
 	}
 	return chain
 }
-
-// UseIdxScalar returns the scalar object serving as the index operand of
-// the array load feeding use slot k, when that operand is a direct scalar
-// load (the common case after three-address lowering with CSE). It is used
-// by the OPT-3 generalization that shares labels between paired array
-// accesses.
-func (s *Stmt) UseIdxScalar(slot int) (ObjID, bool) {
-	var out ObjID = NoObj
-	found := false
-	visit := func(e Expr) {
-		WalkExpr(e, func(x Expr) {
-			li, ok := x.(*ELoadIdx)
-			if !ok || li.Slot != slot {
-				return
-			}
-			if ld, ok := li.Idx.(*ELoad); ok {
-				out = ld.Obj
-				found = true
-			}
-		})
-	}
-	switch s.Op {
-	case OpAssign:
-		visit(s.Rhs)
-		if s.Lhs == LIndex {
-			visit(s.LhsIdx)
-		}
-		if s.Lhs == LDeref {
-			visit(s.LhsAddr)
-		}
-	case OpCond, OpPrint, OpReturn:
-		visit(s.Rhs)
-	case OpCall:
-		for _, a := range s.Args {
-			visit(a)
-		}
-	}
-	return out, found
-}
-
-// DefIdxScalar returns the scalar object serving as the index operand of
-// an array store (Lhs == LIndex), when it is a direct scalar load.
-func (s *Stmt) DefIdxScalar() (ObjID, bool) {
-	if s.Op != OpAssign || s.Lhs != LIndex {
-		return NoObj, false
-	}
-	if ld, ok := s.LhsIdx.(*ELoad); ok {
-		return ld.Obj, true
-	}
-	return NoObj, false
-}

@@ -120,9 +120,6 @@ func Number(f *ir.Func) *Numbering {
 	return n
 }
 
-// IsBackEdge reports whether u->v is a back edge of the function.
-func (n *Numbering) IsBackEdge(u, v *ir.Block) bool { return n.back[[2]*ir.Block{u, v}] }
-
 // PathID computes the Ball-Larus id of a path given as a block sequence
 // (which must follow DAG edges from a start block).
 func (n *Numbering) PathID(seq []*ir.Block) (int64, error) {

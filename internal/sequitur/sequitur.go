@@ -29,7 +29,6 @@ type rule struct {
 // Grammar is the inferred grammar.
 type Grammar struct {
 	start   *rule
-	rules   int
 	digrams map[[2]int64]*symbol
 	nextID  int
 }
@@ -44,7 +43,6 @@ func New() *Grammar {
 func (g *Grammar) newRule() *rule {
 	r := &rule{id: g.nextID}
 	g.nextID++
-	g.rules++
 	guard := &symbol{rule: r, isGuard: true}
 	guard.prev = guard
 	guard.next = guard
@@ -203,7 +201,6 @@ func (g *Grammar) inline(ref *symbol) {
 		join(prev, first)
 		join(last, next)
 	}
-	g.rules--
 	g.check(prev)
 	if !last.isGuard {
 		g.check(last)
@@ -230,25 +227,6 @@ func (g *Grammar) Size() int {
 	}
 	count(g.start)
 	return n
-}
-
-// Rules returns the number of rules, including the start rule.
-func (g *Grammar) Rules() int {
-	seen := map[*rule]bool{}
-	var count func(r *rule)
-	count = func(r *rule) {
-		if seen[r] {
-			return
-		}
-		seen[r] = true
-		for s := r.guard.next; !s.isGuard; s = s.next {
-			if s.rule != nil {
-				count(s.rule)
-			}
-		}
-	}
-	count(g.start)
-	return len(seen)
 }
 
 // Expand reconstructs the original sequence (for testing).

@@ -76,7 +76,6 @@ type Graph struct {
 	slotOff []int32
 
 	mem *labelblock.Arena
-	enc *labelblock.Encoder
 
 	runs batch.FreeList // recycled query kernel states
 
@@ -144,12 +143,10 @@ func useSlotOffsets(p *ir.Program) []int32 {
 	return off
 }
 
-// SetParallelEncode enables epoch-parallel construction: filled label
-// epochs are sealed by n encode workers (n <= 0: GOMAXPROCS) off the
-// resolver's critical path. Must be called before feeding the trace.
-func (g *Graph) SetParallelEncode(n int) {
-	g.enc = labelblock.NewEncoder(n)
-}
+// SetParallelEncode is a no-op: every label block is sealed inline as
+// its list fills. It stays for callers that still ask for encode
+// workers.
+func (g *Graph) SetParallelEncode(int) {}
 
 // Block implements trace.Sink.
 func (g *Graph) Block(b *ir.Block) {
@@ -174,7 +171,7 @@ func (g *Graph) Block(b *ir.Block) {
 	}
 	if bestAnc != nil {
 		term := bestAnc.Terminator()
-		g.cdEdges[b.ID].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: best - 1, Tu: g.curTs}, int32(term.ID))
+		g.cdEdges[b.ID].Append(g.mem, labelblock.Pair{Td: best - 1, Tu: g.curTs}, int32(term.ID))
 		g.cdPairs++
 	} else if fr.hasCallSite && b == b.Fn.Entry() {
 		// Interprocedural control dependence: the function entry depends on
@@ -182,7 +179,7 @@ func (g *Graph) Block(b *ir.Block) {
 		// without intraprocedural ancestors execute unconditionally within
 		// the frame, and the call statement still enters slices through
 		// parameter data dependences.
-		g.cdEdges[b.ID].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: fr.callSite.ts, Tu: g.curTs}, int32(fr.callSite.stmt))
+		g.cdEdges[b.ID].Append(g.mem, labelblock.Pair{Td: fr.callSite.ts, Tu: g.curTs}, int32(fr.callSite.stmt))
 		g.cdPairs++
 	}
 	if b.Index < len(fr.lastExec) {
@@ -201,7 +198,7 @@ func (g *Graph) Stmt(s *ir.Stmt, uses, defs []int64) {
 	}
 	for i, a := range uses {
 		if d, ok := g.defOf(a); ok {
-			g.useEdges[s.ID][i].AppendEnc(g.mem, g.enc, labelblock.Pair{Td: d.ts, Tu: g.curTs}, int32(d.stmt))
+			g.useEdges[s.ID][i].Append(g.mem, labelblock.Pair{Td: d.ts, Tu: g.curTs}, int32(d.stmt))
 			g.dataPairs++
 		}
 	}
@@ -254,7 +251,6 @@ func (g *Graph) SetTelemetry(reg *telemetry.Registry) {
 func (g *Graph) End() {
 	g.defTs, g.defStmt = ir.TrimTable(g.defTs), ir.TrimTable(g.defStmt)
 	g.frames = nil
-	g.enc.Drain()
 	for _, slots := range g.useEdges {
 		for i := range slots {
 			slots[i].Compact(g.mem, false)
@@ -264,10 +260,6 @@ func (g *Graph) End() {
 		g.cdEdges[i].Compact(g.mem, false)
 	}
 	if reg := g.tel; reg != nil {
-		if g.enc != nil {
-			reg.Gauge("build.epoch.workers").Set(int64(g.enc.Workers()))
-			reg.Counter("build.epoch.blocks").Add(g.enc.Blocks())
-		}
 		reg.Counter("fp.labels.data").Add(g.dataPairs)
 		reg.Counter("fp.labels.cd").Add(g.cdPairs)
 		reg.Counter("fp.block_execs").Add(g.ts)

@@ -1,9 +1,9 @@
 // Graph snapshot codec: the frozen FP graph's queryable state — block
 // ordinal counter, last-definition table, and the columnar label lists —
 // serialized for the single-read on-disk graph image
-// (internal/slicing/snapshot). Builder-only state (frames, encoder,
-// arena free lists) is not persisted; a loaded graph is frozen and
-// answers queries exactly like the graph it was saved from.
+// (internal/slicing/snapshot). Builder-only state (frames, arena free
+// lists) is not persisted; a loaded graph is frozen and answers queries
+// exactly like the graph it was saved from.
 package fp
 
 import (

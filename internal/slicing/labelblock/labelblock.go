@@ -455,16 +455,6 @@ func (l *List) Pairs(dst []Pair) []Pair {
 	return append(dst, l.tail...)
 }
 
-// PairsAux appends every resident pair and its aux value.
-func (l *List) PairsAux(dst []Pair, auxDst []int32) ([]Pair, []int32) {
-	for i := range l.blocks {
-		dst, auxDst = l.blocks[i].Decode(dst, auxDst)
-	}
-	dst = append(dst, l.tail...)
-	auxDst = append(auxDst, l.aux...)
-	return dst, auxDst
-}
-
 // MemBytes reports the resident bytes of the list's label storage:
 // encoded block payloads plus headers, plus the tail's backing capacity.
 func (l *List) MemBytes() int64 {

@@ -202,7 +202,7 @@ type query struct {
 
 	// Free list of BlockExec address buffers: a segment's buffers are
 	// recycled into the next segment's decode (same idea as the pooled
-	// record batches in trace.ParallelReplay), so a backward scan reaches
+	// record batches behind trace.Async), so a backward scan reaches
 	// steady state after one segment instead of allocating one slice per
 	// block execution for the whole trace.
 	bufFree [][]int64

@@ -437,7 +437,7 @@ func (g *Graph) appendDataLabel(us *UseEdgeSet, tgt InstLoc, p Pair) {
 		us.Dyn = append(us.Dyn, DynEdge{Tgt: tgt, L: l})
 		edge = &us.Dyn[len(us.Dyn)-1]
 	}
-	if !edge.L.AppendEnc(g.mem, g.enc, p) {
+	if !edge.L.Append(g.mem, p) {
 		g.elim.OPT3Dedup++
 	}
 }
@@ -544,7 +544,7 @@ func (g *Graph) appendCDLabel(cd *CDEdgeSet, tgt InstLoc, p Pair) {
 		cd.Dyn = append(cd.Dyn, CDDynEdge{Tgt: tgt, L: l})
 		edge = &cd.Dyn[len(cd.Dyn)-1]
 	}
-	if !edge.L.AppendEnc(g.mem, g.enc, p) {
+	if !edge.L.Append(g.mem, p) {
 		g.elim.OPT6Dedup++
 	}
 }

@@ -93,13 +93,6 @@ func (g *Graph) Diagnose(topK int) (map[string]int64, []string) {
 // NoObjSentinel mirrors ir.NoObj for the diagnostic above.
 const NoObjSentinel = -1
 
-// Clusters returns the number of label-sharing clusters formed (OPT-3,
-// array OPT-3, and OPT-6).
-func (g *Graph) Clusters() int { return len(g.clusterIsCD) }
-
-// SharedLists returns the number of materialized shared label lists.
-func (g *Graph) SharedLists() int { return len(g.clusterLabels) }
-
 // EnableShortcuts toggles shortcut-edge traversal on an already built
 // graph (Table 3 measures slicing with and without shortcuts on the same
 // graph). Closures are computed lazily, so enabling is cheap.

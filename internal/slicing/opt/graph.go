@@ -42,17 +42,11 @@ type Labels struct {
 // It reports whether the pair was stored (false = deduped). Pairs land in
 // ar-backed storage; a nil arena falls back to the heap.
 func (l *Labels) Append(ar *labelblock.Arena, p Pair) bool {
-	return l.AppendEnc(ar, nil, p)
-}
-
-// AppendEnc is Append with epoch-parallel block sealing through enc (nil:
-// inline sealing, exactly Append).
-func (l *Labels) AppendEnc(ar *labelblock.Arena, enc *labelblock.Encoder, p Pair) bool {
 	if l.shared && l.hasLast && l.last == p {
 		return false
 	}
 	l.last, l.hasLast = p, true
-	l.list.AppendEnc(ar, enc, labelblock.Pair(p), 0)
+	l.list.Append(ar, labelblock.Pair(p), 0)
 	return true
 }
 
@@ -404,9 +398,6 @@ type Graph struct {
 	// §4.2 hybrid disk-epoch mode (nil when disabled); see hybrid.go.
 	hybrid *hybridState
 
-	// Epoch-parallel block sealing (nil: inline); see SetParallelEncode.
-	enc *labelblock.Encoder
-
 	// Recycled query kernel states; see slice.go.
 	runs batch.FreeList
 
@@ -532,27 +523,17 @@ func (g *Graph) SizeBytes() int64 {
 	return sz
 }
 
-// SetParallelEncode enables epoch-parallel construction: filled label
-// epochs are sealed by n encode workers (n <= 0: GOMAXPROCS) off the
-// resolver's critical path. Must be called before feeding the trace.
-// Mutually exclusive with EnableHybrid — disk-epoch flushing splits lists
-// mid-build, which requires every sealed block's payload to be resident;
-// with hybrid enabled the call is a no-op.
-func (g *Graph) SetParallelEncode(n int) {
-	if g.hybrid != nil {
-		return
-	}
-	g.enc = labelblock.NewEncoder(n)
-}
+// SetParallelEncode is a no-op: every label block is sealed inline as
+// its list fills. It stays for callers that still ask for encode
+// workers.
+func (g *Graph) SetParallelEncode(int) {}
 
-// Finalize freezes the graph for concurrent queries: the epoch encoder
-// (if any) is drained so every sealed block is materialized, then every
-// label list is compacted — out-of-order or straddling lists are repacked
-// into globally sorted blocks (deduped when shared), clean tails worth
+// Finalize freezes the graph for concurrent queries: every label list is
+// compacted — out-of-order or straddling lists are repacked into
+// globally sorted blocks (deduped when shared), clean tails worth
 // sealing are sealed — so Find never mutates shared state afterwards. End
 // calls it automatically; calling it again is a cheap no-op.
 func (g *Graph) Finalize() {
-	g.enc.Drain()
 	for _, l := range g.allLabels {
 		l.list.Compact(g.mem, l.shared)
 	}

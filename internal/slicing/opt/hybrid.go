@@ -66,12 +66,6 @@ func (g *Graph) EnableHybrid(dir string, budget int64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Incompatible with epoch-parallel encoding: flushing splits lists
-	// mid-build, which needs every sealed block's payload resident.
-	if g.enc != nil {
-		g.enc.Drain()
-		g.enc = nil
-	}
 	g.hybrid = &hybridState{dir: dir, budget: budget, cachedEpoch: -1}
 	return nil
 }

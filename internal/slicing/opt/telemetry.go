@@ -68,10 +68,6 @@ func (g *Graph) flushTelemetry() {
 		return
 	}
 	g.telFlushed = true
-	if g.enc != nil {
-		reg.Gauge("build.epoch.workers").Set(int64(g.enc.Workers()))
-		reg.Counter("build.epoch.blocks").Add(g.enc.Blocks())
-	}
 	e := &g.elim
 	reg.Counter("opt.build.use_slots").Add(e.UseSlots)
 	reg.Counter("opt.elim.opt1.du").Add(e.OPT1DU)

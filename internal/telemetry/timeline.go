@@ -4,8 +4,8 @@ package telemetry
 // duration events and serializes them in the Trace Event JSON format
 // that chrome://tracing and Perfetto load directly. Spans ending on a
 // registry with an attached timeline emit one event each, and
-// trace.PipelineConfig accepts a Timeline so the ParallelReplay workers
-// emit one event per applied batch — together they make pipeline
+// trace.PipelineConfig accepts a Timeline so each trace.Async worker
+// emits one event per applied batch — together they make pipeline
 // utilization and per-query cost visually inspectable (docs/EXPLAIN.md,
 // "Timeline export").
 //

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,46 +9,39 @@ import (
 	"dynslice/internal/telemetry"
 )
 
-// Pipelined trace consumption. Two building blocks:
-//
-//   - ParallelReplay decodes a stream once on the calling goroutine and
-//     fans pooled record batches out to one goroutine per sink over
-//     bounded channels, so I/O + varint decode overlap with graph
-//     construction and several builders share a single pass.
-//   - Async wraps one Sink so that events arriving from a producer (the
-//     interpreter, a decoder) are applied on a background goroutine,
-//     letting the producer run ahead by a bounded number of batches.
-//
-// Both copy the per-event use/def address slices into a flat per-batch
-// arena (the Sink contract only guarantees them during the call) and
-// recycle batches through a sync.Pool, so steady-state operation
-// allocates only when the pool is cold.
+// Pipelined trace consumption: Async wraps one Sink so that events
+// arriving from a producer (the interpreter, a decoder) are applied on a
+// background goroutine, letting the producer run ahead by a bounded
+// number of batches. It copies the per-event use/def address slices into
+// a flat per-batch arena (the Sink contract only guarantees them during
+// the call) and recycles batches through a sync.Pool, so steady-state
+// operation allocates only when the pool is cold.
 
-// PipelineConfig tunes the batching knobs shared by ParallelReplay and
-// Async. The zero value selects the defaults, which are documented in
-// docs/PERFORMANCE.md along with guidance for changing them.
+// PipelineConfig tunes Async's batching. The zero value selects the
+// defaults, which are documented in docs/PERFORMANCE.md along with
+// guidance for changing them.
 type PipelineConfig struct {
 	// BatchBlocks is the number of block records per batch (default 256).
 	// Larger batches amortize channel hand-off; smaller ones reduce the
-	// latency before consumers see the first events.
+	// latency before the consumer sees the first events.
 	BatchBlocks int
-	// Depth is the per-consumer channel depth in batches (default 4): how
-	// far the producer may run ahead of the slowest consumer.
+	// Depth is the channel depth in batches (default 4): how far the
+	// producer may run ahead of the consumer.
 	Depth int
 	// Timeline, when non-nil, receives one Chrome trace event per applied
-	// batch from each worker, so pipeline utilization (worker busy vs
-	// idle) renders as per-stage rows in chrome://tracing / Perfetto.
+	// batch on the worker's own row, so pipeline utilization (worker busy
+	// vs idle) renders in chrome://tracing / Perfetto.
 	Timeline *telemetry.Timeline
-	// TimelineNames labels the timeline row of each sink, in sink order
-	// (ParallelReplay) or for the single wrapped sink (Async); sinks
-	// without a name fall back to "sink-<i>".
-	TimelineNames []string
 }
 
 const (
 	defaultBatchBlocks = 256
 	defaultDepth       = 4
 )
+
+// asyncRow names an Async worker's timeline row. Record's OPT builder is
+// the one Async that production code runs with a timeline attached.
+const asyncRow = "opt-build"
 
 func (c PipelineConfig) batchBlocks() int {
 	if c.BatchBlocks <= 0 {
@@ -66,25 +57,16 @@ func (c PipelineConfig) depth() int {
 	return c.Depth
 }
 
-func (c PipelineConfig) sinkName(i int) string {
-	if i < len(c.TimelineNames) && c.TimelineNames[i] != "" {
-		return c.TimelineNames[i]
-	}
-	return fmt.Sprintf("sink-%d", i)
-}
-
-// timelineTid hands each pipeline worker its own timeline row, so
-// concurrent workers (several Asyncs, or ParallelReplay fan-out) never
-// overlap events on one row.
+// timelineTid hands each Async worker its own timeline row, so
+// concurrent workers never overlap events on one row.
 var timelineTid atomic.Int32
 
-// rec is one decoded event inside a batch. Use and def addresses live in
+// rec is one event inside a batch. Use and def addresses live in
 // the batch arena at [off, off+nUses) and [off+nUses, off+nUses+nDefs).
 type rec struct {
 	kind     EventKind
 	block    *ir.Block
 	stmt     *ir.Stmt
-	ord      int64
 	off      int32
 	nUses    int32
 	nDefs    int32
@@ -93,12 +75,11 @@ type rec struct {
 }
 
 // batch is a run of decoded events plus their flat address arena,
-// refcounted across consumers and recycled through batchPool.
+// recycled through batchPool once its consumer has applied it.
 type batch struct {
 	recs   []rec
 	arena  []int64
 	blocks int
-	refs   atomic.Int32
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
@@ -111,16 +92,9 @@ func getBatch() *batch {
 	return b
 }
 
-// release returns the batch to the pool once every consumer is done.
-func (b *batch) release() {
-	if b.refs.Add(-1) == 0 {
-		batchPool.Put(b)
-	}
-}
-
 // addBlock appends a block record.
-func (b *batch) addBlock(blk *ir.Block, ord int64) {
-	b.recs = append(b.recs, rec{kind: EvBlock, block: blk, ord: ord})
+func (b *batch) addBlock(blk *ir.Block) {
+	b.recs = append(b.recs, rec{kind: EvBlock, block: blk})
 	b.blocks++
 }
 
@@ -164,95 +138,6 @@ func (b *batch) apply(s Sink) {
 	}
 }
 
-// ParallelReplay decodes the whole stream (header included) once and
-// drives every sink on its own goroutine, connected by bounded channels
-// of pooled record batches. Each sink observes exactly the event sequence
-// Replay would deliver, in order; only the interleaving across sinks is
-// concurrent. On a decode error the sinks stop without receiving End,
-// exactly as Replay leaves them.
-func ParallelReplay(p *ir.Program, r io.Reader, cfg PipelineConfig, sinks ...Sink) error {
-	_, err := ParallelReplayTimed(p, r, cfg, nil, sinks...)
-	return err
-}
-
-// ParallelReplayTimed is ParallelReplay with a metrics bundle and
-// per-sink busy-time accounting: the i-th duration is the wall time sink
-// i spent applying batches (its build cost net of pipeline idle time).
-func ParallelReplayTimed(p *ir.Program, r io.Reader, cfg PipelineConfig, m *Metrics, sinks ...Sink) ([]time.Duration, error) {
-	busy := make([]time.Duration, len(sinks))
-	if len(sinks) == 0 {
-		return busy, nil
-	}
-	chans := make([]chan *batch, len(sinks))
-	var wg sync.WaitGroup
-	for i := range sinks {
-		chans[i] = make(chan *batch, cfg.depth())
-		wg.Add(1)
-		var tid int
-		if cfg.Timeline != nil {
-			tid = int(timelineTid.Add(1))
-		}
-		go func(ch chan *batch, s Sink, slot *time.Duration, name string, tid int) {
-			defer wg.Done()
-			for b := range ch {
-				t0 := time.Now()
-				b.apply(s)
-				d := time.Since(t0)
-				*slot += d
-				cfg.Timeline.Event(name, "pipeline", tid, t0, d)
-				b.release()
-			}
-		}(chans[i], sinks[i], &busy[i], cfg.sinkName(i), tid)
-	}
-	finish := func() {
-		for _, ch := range chans {
-			close(ch)
-		}
-		wg.Wait()
-	}
-
-	dispatch := func(b *batch) {
-		b.refs.Store(int32(len(sinks)))
-		for _, ch := range chans {
-			ch <- b
-		}
-	}
-
-	d := NewDecoder(p, r, 0)
-	d.SetMetrics(m)
-	if err := d.ReadHeader(); err != nil {
-		finish()
-		return busy, err
-	}
-	maxBlocks := cfg.batchBlocks()
-	cur := getBatch()
-	for {
-		ev, err := d.Next()
-		if err != nil {
-			// Drop the partial batch (never dispatched, so never pooled).
-			finish()
-			return busy, err
-		}
-		switch ev.Kind {
-		case EvBlock:
-			if cur.blocks >= maxBlocks {
-				dispatch(cur)
-				cur = getBatch()
-			}
-			cur.addBlock(ev.Block, ev.Ord)
-		case EvStmt:
-			cur.addStmt(ev.Stmt, ev.Uses, ev.Defs)
-		case EvRegion:
-			cur.addRegion(ev.Stmt, ev.RegStart, ev.RegLen)
-		case EvEnd:
-			cur.addEnd()
-			dispatch(cur)
-			finish()
-			return busy, nil
-		}
-	}
-}
-
 // Async wraps a Sink so events are applied on a background goroutine fed
 // by bounded batches, overlapping event production (interpretation,
 // decoding) with consumption (graph building). It implements Sink and is
@@ -260,33 +145,29 @@ func ParallelReplayTimed(p *ir.Program, r io.Reader, cfg PipelineConfig, m *Metr
 // returns the underlying sink is fully caught up. Producers that can
 // fail before delivering End must call Close to reclaim the worker.
 type Async struct {
-	sink   Sink
 	ch     chan *batch
 	cur    *batch
 	max    int
 	wg     sync.WaitGroup
 	closed bool
-	busy   time.Duration
 }
 
 // NewAsync returns an Async applying events to sink on its own goroutine.
 func NewAsync(sink Sink, cfg PipelineConfig) *Async {
-	a := &Async{sink: sink, ch: make(chan *batch, cfg.depth()), max: cfg.batchBlocks(), cur: getBatch()}
+	a := &Async{ch: make(chan *batch, cfg.depth()), max: cfg.batchBlocks(), cur: getBatch()}
+	tl := cfg.Timeline
 	var tid int
-	if cfg.Timeline != nil {
+	if tl != nil {
 		tid = int(timelineTid.Add(1))
 	}
-	name := cfg.sinkName(0)
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
 		for b := range a.ch {
 			t0 := time.Now()
 			b.apply(sink)
-			d := time.Since(t0)
-			a.busy += d
-			cfg.Timeline.Event(name, "pipeline", tid, t0, d)
-			b.release()
+			tl.Event(asyncRow, "pipeline", tid, t0, time.Since(t0))
+			batchPool.Put(b)
 		}
 	}()
 	return a
@@ -296,10 +177,8 @@ func (a *Async) flush() {
 	if len(a.cur.recs) == 0 {
 		return
 	}
-	b := a.cur
-	b.refs.Store(1)
+	a.ch <- a.cur
 	a.cur = getBatch()
-	a.ch <- b
 }
 
 // Block implements Sink.
@@ -307,7 +186,7 @@ func (a *Async) Block(b *ir.Block) {
 	if a.cur.blocks >= a.max {
 		a.flush()
 	}
-	a.cur.addBlock(b, 0)
+	a.cur.addBlock(b)
 }
 
 // Stmt implements Sink.
@@ -343,7 +222,3 @@ func (a *Async) join() {
 	close(a.ch)
 	a.wg.Wait()
 }
-
-// Busy reports the wall time the worker spent applying batches (valid
-// after End or Close).
-func (a *Async) Busy() time.Duration { return a.busy }

@@ -1,6 +1,7 @@
 package slicer_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,10 +14,10 @@ import (
 	"dynslice/internal/slicing/explain"
 )
 
-// diffPrograms are the lazy-FP differential subjects: the six fuzz
-// corpus programs, on the input the corpus fuzz target seeds them with,
-// and three of the smaller bench workloads.
-func diffPrograms(t *testing.T) []bench.Workload {
+// diffPrograms are the differential subjects: the six fuzz corpus
+// programs, on the input the corpus fuzz target seeds them with, and the
+// named bench workloads.
+func diffPrograms(t *testing.T, workloads ...string) []bench.Workload {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("internal", "fuzzgen", "testdata", "corpus", "*.minic"))
 	if err != nil || len(paths) != 6 {
@@ -34,7 +35,7 @@ func diffPrograms(t *testing.T) []bench.Workload {
 			Input: []int64{6, 3, 9, 4, 1},
 		})
 	}
-	for _, name := range []string{"099.go", "126.gcc", "255.vortex"} {
+	for _, name := range workloads {
 		w, ok := bench.ByName(name)
 		if !ok {
 			t.Fatalf("no bench workload %s", name)
@@ -52,10 +53,10 @@ func diffPrograms(t *testing.T) []bench.Workload {
 // first explainCriteria criteria: observed FP queries are the slow
 // part).
 func TestLazyFPMatchesEager(t *testing.T) {
-	for _, w := range diffPrograms(t) {
+	for _, w := range diffPrograms(t, "099.go", "126.gcc", "255.vortex") {
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			eager, err := bench.Build(w, bench.Options{WithFP: true, Pipeline: true})
+			eager, err := bench.Build(w, bench.Options{WithFP: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,6 +123,40 @@ func TestLazyFPMatchesEager(t *testing.T) {
 }
 
 const explainCriteria = 2
+
+// TestAsyncOPTMatchesInlineBuild: the OPT graph that Record builds
+// through its trace.Async worker and the one a DeferGraphs recording
+// builds by re-running the program straight into the builder serialize
+// to the same snapshot bytes.
+func TestAsyncOPTMatchesInlineBuild(t *testing.T) {
+	for _, w := range diffPrograms(t, "300.twolf", "130.li", "164.gzip", "099.go") {
+		t.Run(w.Name, func(t *testing.T) {
+			p, err := slicer.Compile(w.Src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var images [2][]byte
+			for i, deferred := range []bool{false, true} {
+				rec, err := p.Record(slicer.RunOptions{Input: w.Input, DeferGraphs: deferred})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := rec.OPTGraph()
+				if err == nil {
+					images[i], err = g.AppendSnapshot(nil)
+				}
+				rec.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(images[0]) == 0 || !bytes.Equal(images[0], images[1]) {
+				t.Fatalf("Record's OPT (%d bytes) and the deferred inline build (%d bytes) serialize differently",
+					len(images[0]), len(images[1]))
+			}
+		})
+	}
+}
 
 // attribution is the part of an explain profile that describes which
 // edges the traversal took and how each was resolved.

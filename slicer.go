@@ -311,13 +311,12 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 		optG.SetTelemetry(o.Telemetry)
 		// The OPT builder runs as a pipelined Async sink: the interpreter
 		// batches events into pooled buffers and the builder consumes them
-		// concurrently, shipping filled label epochs to encode workers
-		// instead of delta-varint compressing them inline. The trace
-		// writer stays inline so trace I/O errors surface synchronously.
-		// An attached timeline (telemetry.AttachTimeline) gives the
-		// builder worker its own named row of per-batch activity.
-		optG.SetParallelEncode(0)
-		aopt = trace.NewAsync(optG, trace.PipelineConfig{Timeline: o.Telemetry.Timeline(), TimelineNames: []string{"opt-build"}})
+		// concurrently, sealing each label block inline as its list fills.
+		// The trace writer stays inline so trace I/O errors surface
+		// synchronously. An attached timeline (telemetry.AttachTimeline)
+		// gives the builder worker its own opt-build row of per-batch
+		// activity.
+		aopt = trace.NewAsync(optG, trace.PipelineConfig{Timeline: o.Telemetry.Timeline()})
 		sink = append(sink, aopt)
 	}
 	var fwd *forward.Slicer
