@@ -62,11 +62,15 @@ bench-parallel:
 	$(GO) run ./cmd/experiments -exp parallel
 
 # Memory layout: FP and OPT labels as delta-varint blocks against the
-# flat-pair size model (16 B a pair, plus 4 B for FP's aux column) ->
-# BENCH_memory.json. RunMemory fails the target if OPT's compact label
-# bytes exceed 0.5x the model or any slice differs from LP's.
+# flat-pair size model (16 B a pair, plus 4 B for FP's aux column).
+# RunMemory fails the target if OPT's compact label bytes exceed 0.5x the
+# model or any slice differs from LP's. The report goes to a temporary
+# directory; `make bench-baseline` regenerates the checked-in
+# BENCH_memory.json.
 bench-mem:
-	$(GO) run ./cmd/experiments -exp memory
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp memory -memory-out $$dir/BENCH_memory.json; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # Observed-query breakdown: every criterion explained on FP/OPT/LP,
 # explicit-vs-inferred edge attribution -> BENCH_explain.json. RunExplain

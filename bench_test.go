@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	slicer "dynslice"
 	"dynslice/internal/bench"
 	"dynslice/internal/sequitur"
 	"dynslice/internal/slicing"
@@ -244,6 +245,47 @@ func BenchmarkBuild(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRecord times a cold Program.Record on the set-ups of the
+// end-to-end benchmark's recording workloads: 300.twolf with 200 tracked
+// criteria and a snapshot write (build-twolf), and 164.gzip with
+// DeferGraphs (rare-gzip). It runs on those programs whatever
+// DYNSLICE_BENCH_WORKLOAD says.
+func BenchmarkRecord(b *testing.B) {
+	for _, c := range []struct {
+		program string
+		opts    func(w bench.Workload, dir string) slicer.RunOptions
+	}{
+		{"300.twolf", func(w bench.Workload, dir string) slicer.RunOptions {
+			return slicer.RunOptions{Input: w.Input, TrackCriteria: 200, TraceDir: dir,
+				Snapshot: slicer.SnapshotOptions{Dir: dir, Write: true}}
+		}},
+		{"164.gzip", func(w bench.Workload, dir string) slicer.RunOptions {
+			return slicer.RunOptions{Input: w.Input, TrackCriteria: 200, TraceDir: dir, DeferGraphs: true}
+		}},
+	} {
+		b.Run(c.program, func(b *testing.B) {
+			w, ok := bench.ByName(c.program)
+			if !ok {
+				b.Fatalf("unknown workload %q", c.program)
+			}
+			p, err := slicer.Compile(w.Src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := c.opts(w, b.TempDir())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec, err := p.Record(o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec.Close()
+			}
+		})
+	}
 }
 
 // BenchmarkSlice measures single-criterion OPT queries, each a

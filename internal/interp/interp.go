@@ -47,6 +47,11 @@ type Options struct {
 	// CheckpointBudget caps the bytes retained across checkpoints
 	// (0 = DefaultCheckpointBudget); see Checkpoint.
 	CheckpointBudget int64
+	// Watermark sizes memory for the final address space, in words, up
+	// front: the Result.Watermark of an earlier run on the same input,
+	// which the run matches exactly. 0 grows memory on demand; a wrong
+	// value costs only growth.
+	Watermark int64
 }
 
 // Result summarizes a completed run.
@@ -92,6 +97,8 @@ type machine struct {
 	stepAbort bool    // run ended by the step-limit fault
 	uses      []int64 // per-statement scratch
 	defs      [1]int64
+	callVals  []int64 // per-call scratch: argument values and parameter
+	callDefs  []int64 // addresses, which sinks see only during the call
 
 	// Checkpoint capture (Run with Options.CheckpointEvery > 0).
 	ckEvery  int64
@@ -115,6 +122,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		sink:     opts.Sink,
 		input:    opts.Input,
 		maxSteps: opts.MaxSteps,
+		mem:      ir.ReserveTable([]int64(nil), opts.Watermark),
 	}
 	if m.maxSteps == 0 {
 		m.maxSteps = DefaultMaxSteps
@@ -298,24 +306,24 @@ func (m *machine) execBlock(b *ir.Block) (next *ir.Block, ret int64, halted bool
 
 		case ir.OpCall:
 			callee := s.Callee
-			nArgs := len(s.Args)
-			vals := make([]int64, nArgs)
-			for i, a := range s.Args {
+			vals := m.callVals[:0]
+			for _, a := range s.Args {
 				v, err := m.eval(s, a)
 				if err != nil {
 					return nil, 0, false, err
 				}
-				vals[i] = v
+				vals = append(vals, v)
 			}
 			base, wm := callee.FrameAt(m.watermark)
 			m.watermark = wm
 			m.grow(wm)
-			defs := make([]int64, nArgs)
+			defs := m.callDefs[:0]
 			for i, prm := range callee.Params {
 				addr := base + prm.Off
 				m.mem[addr] = vals[i]
-				defs[i] = addr
+				defs = append(defs, addr)
 			}
+			m.callVals, m.callDefs = vals, defs
 			m.sink.Stmt(s, m.uses, defs)
 			m.frames = append(m.frames, frame{fn: callee, base: base, cont: b.Succs[0]})
 			return callee.Entry(), 0, false, nil

@@ -227,6 +227,20 @@ func GrowTable[T any](t []T, n int) []T {
 	return out
 }
 
+// ReserveTable returns t with room for n slots, so that GrowTable reaches
+// n without moving it. A run is deterministic and never reuses a frame,
+// so the Watermark of an earlier run on the same input sizes a table
+// exactly; any other n costs only growth. The length is unchanged and
+// [len, cap) stays zero.
+func ReserveTable[T any](t []T, n int64) []T {
+	if n <= int64(cap(t)) {
+		return t
+	}
+	out := make([]T, len(t), n)
+	copy(out, t)
+	return out
+}
+
 // TrimTable returns t in an allocation of exactly its length, for a
 // table kept once built.
 func TrimTable[T any](t []T) []T {

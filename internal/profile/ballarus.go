@@ -176,11 +176,13 @@ func (n *Numbering) Decode(start *ir.Block, id int64) ([]*ir.Block, error) {
 
 // SeqKey returns a compact hashable key for a block sequence.
 func SeqKey(seq []*ir.Block) string {
-	buf := make([]byte, 0, len(seq)*3)
-	var tmp [binary.MaxVarintLen64]byte
+	return string(appendSeqKey(make([]byte, 0, len(seq)*3), seq))
+}
+
+// appendSeqKey appends the key of seq to buf.
+func appendSeqKey(buf []byte, seq []*ir.Block) []byte {
 	for _, b := range seq {
-		k := binary.PutUvarint(tmp[:], uint64(b.ID))
-		buf = append(buf, tmp[:k]...)
+		buf = binary.AppendUvarint(buf, uint64(b.ID))
 	}
-	return string(buf)
+	return buf
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"sort"
 
 	"dynslice/internal/dataflow"
@@ -11,16 +12,48 @@ import (
 // Ball-Larus paths. The OPT graph builder and the profile collector share
 // this definition, so paths observed while profiling are exactly the
 // sequences the builder will see between cuts.
+//
+// The predicate is asked once per block execution, so it reads one byte
+// of dense per-block bits, indexed by BlockID, instead of hashing the
+// edge: whether every path ends after the block or starts at it, and
+// which of its successor edges are back edges.
 type Cuts struct {
-	back map[[2]*ir.Block]bool
+	bits []uint8
 }
 
-// NewCuts precomputes back edges for every function of p.
+// Cut bits of a block.
+const (
+	cutAfter  uint8 = 1 << iota // ends in a call or return, or is a continuation
+	cutBefore                   // a call block or a continuation
+	backSucc                    // backSucc<<i: the edge to Succs[i] is a back edge
+)
+
+// maxSuccs is the most successors the back-edge bits can hold; a block
+// has at most two (a branch).
+const maxSuccs = 6
+
+// NewCuts precomputes the cut bits of every block of p.
 func NewCuts(p *ir.Program) *Cuts {
-	c := &Cuts{back: map[[2]*ir.Block]bool{}}
+	c := &Cuts{bits: make([]uint8, len(p.Blocks))}
 	for _, f := range p.Funcs {
-		for e := range dataflow.BackEdges(f) {
-			c.back[e] = true
+		back := dataflow.BackEdges(f)
+		for _, b := range f.Blocks {
+			var bits uint8
+			if t := b.Terminator(); t != nil && (t.Op == ir.OpCall || t.Op == ir.OpReturn) || b.IsContinuation() {
+				bits |= cutAfter
+			}
+			if b.IsCallBlock() || b.IsContinuation() {
+				bits |= cutBefore
+			}
+			if len(b.Succs) > maxSuccs {
+				panic(fmt.Sprintf("profile: block %v has %d successors", b, len(b.Succs)))
+			}
+			for i, s := range b.Succs {
+				if back[[2]*ir.Block{b, s}] {
+					bits |= backSucc << i
+				}
+			}
+			c.bits[b.ID] = bits
 		}
 	}
 	return c
@@ -35,13 +68,16 @@ func (c *Cuts) Between(prev, next *ir.Block) bool {
 	if prev.Fn != next.Fn {
 		return true
 	}
-	if t := prev.Terminator(); t != nil && (t.Op == ir.OpCall || t.Op == ir.OpReturn) {
+	bp := c.bits[prev.ID]
+	if bp&cutAfter != 0 || c.bits[next.ID]&cutBefore != 0 {
 		return true
 	}
-	if next.IsCallBlock() || next.IsContinuation() || prev.IsContinuation() {
-		return true
+	for i, s := range prev.Succs {
+		if s == next {
+			return bp&(backSucc<<i) != 0
+		}
 	}
-	return c.back[[2]*ir.Block{prev, next}]
+	return false
 }
 
 // PathProfile is one executed Ball-Larus path and its frequency.
@@ -59,6 +95,7 @@ type Collector struct {
 	cuts   *Cuts
 	nums   map[*ir.Func]*Numbering
 	cur    []*ir.Block
+	key    []byte // the key of cur, reused from path to path
 	counts map[string]*PathProfile
 }
 
@@ -103,9 +140,12 @@ func (c *Collector) flush() {
 	if len(c.cur) == 0 {
 		return
 	}
-	key := SeqKey(c.cur)
-	pp := c.counts[key]
+	// The lookup converts the reused key without copying it; only a new
+	// path allocates its key string.
+	c.key = appendSeqKey(c.key[:0], c.cur)
+	pp := c.counts[string(c.key)]
 	if pp == nil {
+		key := string(c.key)
 		seq := make([]*ir.Block, len(c.cur))
 		copy(seq, c.cur)
 		id, err := c.nums[seq[0].Fn].PathID(seq)

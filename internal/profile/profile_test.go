@@ -1,12 +1,17 @@
 package profile_test
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
+	"dynslice/internal/bench"
 	"dynslice/internal/compile"
+	"dynslice/internal/dataflow"
 	"dynslice/internal/interp"
 	"dynslice/internal/ir"
 	"dynslice/internal/profile"
+	"dynslice/internal/trace"
 )
 
 func prog(t *testing.T, src string) *ir.Program {
@@ -163,6 +168,115 @@ func TestHotPathsFiltering(t *testing.T) {
 	for fn, n := range perFn {
 		if n > 2 {
 			t.Errorf("%s has %d paths, cap was 2", fn, n)
+		}
+	}
+}
+
+// refBetween is the cut predicate on a hashed back-edge set, as Cuts
+// computed it before its bits became dense.
+func refBetween(back map[[2]*ir.Block]bool, prev, next *ir.Block) bool {
+	if prev.Fn != next.Fn {
+		return true
+	}
+	if t := prev.Terminator(); t != nil && (t.Op == ir.OpCall || t.Op == ir.OpReturn) {
+		return true
+	}
+	if next.IsCallBlock() || next.IsContinuation() || prev.IsContinuation() {
+		return true
+	}
+	return back[[2]*ir.Block{prev, next}]
+}
+
+// refCollector counts paths between reference cuts by SeqKey.
+type refCollector struct {
+	back   map[[2]*ir.Block]bool
+	cur    []*ir.Block
+	counts map[string]int64
+	blocks map[string]int // path length in blocks
+}
+
+func (c *refCollector) Block(b *ir.Block) {
+	if len(c.cur) > 0 && refBetween(c.back, c.cur[len(c.cur)-1], b) {
+		c.flush()
+	}
+	c.cur = append(c.cur, b)
+}
+func (c *refCollector) Stmt(*ir.Stmt, []int64, []int64)  {}
+func (c *refCollector) RegionDef(*ir.Stmt, int64, int64) {}
+func (c *refCollector) End()                             { c.flush() }
+func (c *refCollector) flush() {
+	if len(c.cur) > 0 {
+		key := profile.SeqKey(c.cur)
+		c.counts[key]++
+		c.blocks[key] = len(c.cur)
+		c.cur = c.cur[:0]
+	}
+}
+
+// TestCutsMatchBackEdges: on all ten workloads, the dense cut predicate
+// agrees with the one on dataflow.BackEdges on every CFG edge, and the
+// profile run yields the same paths, counts and hot-path order as
+// collecting between the reference cuts.
+func TestCutsMatchBackEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all ten workloads")
+	}
+	for _, w := range bench.Workloads() {
+		p := prog(t, w.Src)
+		cuts := profile.NewCuts(p)
+		back := map[[2]*ir.Block]bool{}
+		for _, f := range p.Funcs {
+			for e := range dataflow.BackEdges(f) {
+				back[e] = true
+			}
+		}
+		edges := 0
+		for _, b := range p.Blocks {
+			for _, s := range b.Succs {
+				edges++
+				if got, want := cuts.Between(b, s), refBetween(back, b, s); got != want {
+					t.Errorf("%s: Between(%v, %v) = %v, want %v", w.Name, b, s, got, want)
+				}
+			}
+		}
+		if edges == 0 || len(back) == 0 {
+			t.Fatalf("%s: %d edges, %d back edges", w.Name, edges, len(back))
+		}
+
+		col := profile.NewCollector(p)
+		ref := &refCollector{back: back, counts: map[string]int64{}, blocks: map[string]int{}}
+		if _, err := interp.Run(p, interp.Options{Input: w.Input, Sink: trace.Multi{col, ref}}); err != nil {
+			t.Fatal(err)
+		}
+		paths := col.Paths()
+		if len(paths) != len(ref.counts) {
+			t.Errorf("%s: %d paths, want %d", w.Name, len(paths), len(ref.counts))
+		}
+		for _, pp := range paths {
+			if pp.Key != profile.SeqKey(pp.Seq) || pp.Count != ref.counts[pp.Key] {
+				t.Errorf("%s: path %q count %d, want %d", w.Name, pp.Key, pp.Count, ref.counts[pp.Key])
+			}
+		}
+		// HotPaths ranks by count, then key: the reference counts give
+		// the same list.
+		var want []string
+		for key, n := range ref.counts {
+			if n >= 1 && ref.blocks[key] >= 2 {
+				want = append(want, key)
+			}
+		}
+		slices.SortFunc(want, func(a, b string) int {
+			if c := cmp.Compare(ref.counts[b], ref.counts[a]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		var got []string
+		for _, pp := range col.HotPaths(1, 0) {
+			got = append(got, pp.Key)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: %d hot paths differ from the reference's %d", w.Name, len(got), len(want))
 		}
 	}
 }

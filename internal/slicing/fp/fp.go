@@ -221,6 +221,15 @@ func (g *Graph) RegionDef(s *ir.Stmt, start, length int64) {
 	g.define(start, start+length, s.ID)
 }
 
+// Reserve sizes the last-definition table for an address space of n
+// words, the Result.Watermark of an earlier run on the same input, so
+// that the build never regrows it. A wrong n costs only growth. Call it
+// before the first event.
+func (g *Graph) Reserve(n int64) {
+	g.defTs = ir.ReserveTable(g.defTs, n)
+	g.defStmt = ir.ReserveTable(g.defStmt, n)
+}
+
 // define records the current block's statement s as the last definition
 // of the addresses [lo, hi), growing the table to cover them.
 func (g *Graph) define(lo, hi int64, s ir.StmtID) {

@@ -354,6 +354,13 @@ func (g *Graph) processNode(nid NodeID, startOcc int32, entries []bufEntry, ts i
 	g.maybeFlush()
 }
 
+// Reserve sizes the last-definition table for an address space of n
+// words, the Result.Watermark of an earlier run on the same input, so
+// that the build never regrows it and, when the highest address is
+// defined, End keeps it without a copy. A wrong n costs only growth.
+// Call it before the first event.
+func (g *Graph) Reserve(n int64) { g.lastDef = ir.ReserveTable(g.lastDef, n) }
+
 // define records statement copy loc, executing at ts, as the last
 // definition of the addresses [lo, hi), growing the table to cover them.
 func (g *Graph) define(lo, hi int64, loc InstLoc, ts int64) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"dynslice/internal/ir"
@@ -24,6 +25,14 @@ type CritPicker struct {
 
 // NewCritPicker returns an empty picker.
 func NewCritPicker() *CritPicker { return &CritPicker{} }
+
+// Reserve sizes the picker's tables for an address space of n words,
+// the Result.Watermark of an earlier run on the same input, so that the
+// run never regrows them. A wrong n costs only growth.
+func (c *CritPicker) Reserve(n int64) {
+	c.lastOrd = ir.ReserveTable(c.lastOrd, n)
+	c.defStmt = ir.ReserveTable(c.defStmt, n)
+}
 
 // Block implements Sink.
 func (c *CritPicker) Block(*ir.Block) { c.ord++ }
@@ -76,18 +85,24 @@ func comparePicks(p, q pick) int {
 // preferring distinct defining statements: first each statement's latest
 // definition in pick order, then — when fewer than n statements define
 // anything — the remaining addresses in pick order.
+//
+// It costs expected O(N) in the N-word address space whatever the order
+// of the definitions, plus O(n log n) to order the answer.
 func (c *CritPicker) Pick(n int) []int64 {
 	if n <= 0 {
 		return nil
 	}
-	// One scan: every statement's first address in pick order, and a
-	// superset of the first n addresses overall, trimmed back to n
-	// whenever it doubles. Addresses ascend, so a later address never
-	// displaces an equal ordinal.
+	// One scan, from the highest address down: every statement's first
+	// address in pick order, and a superset of the first n addresses
+	// overall, cut back to exactly those n by selection whenever it
+	// reaches 2n. Later calls take fresh frames at higher addresses, so
+	// the cut soon rejects nearly every address; in any order, a cut
+	// costs O(n) and follows n new picks.
 	var latest []pick // by statement; ord 0: the statement defines nothing
 	var top []pick
-	var cut pick // once top is trimmed, its last pick (ord 0 before)
-	for a, o := range c.lastOrd {
+	var cut pick // once top is cut, its last pick (ord 0 before)
+	for a := len(c.lastOrd) - 1; a >= 0; a-- {
+		o := c.lastOrd[a]
 		if o == 0 {
 			continue
 		}
@@ -102,7 +117,7 @@ func (c *CritPicker) Pick(n int) []int64 {
 			continue
 		}
 		if top = append(top, p); len(top) == 2*n {
-			slices.SortFunc(top, comparePicks)
+			selectPicks(top, n)
 			top, cut = top[:n], top[n-1]
 		}
 	}
@@ -137,4 +152,44 @@ func (c *CritPicker) Pick(n int) []int64 {
 		}
 	}
 	return out
+}
+
+// selectPicks reorders ps so that ps[:k] hold its first k picks in pick
+// order, with the k-th at ps[k-1]. It is a quickselect on a
+// median-of-three pivot, O(len(ps)) expected on any input order; ranges
+// that keep splitting badly are sorted instead. Picks are distinct
+// (addresses are), so the order is strict.
+func selectPicks(ps []pick, k int) {
+	lo, hi := 0, len(ps) // ps[k-1] belongs in ps[lo:hi]
+	for budget := 2 * bits.Len(uint(len(ps))); hi-lo > 16 && budget > 0; budget-- {
+		m := lo + (hi-lo)/2
+		if comparePicks(ps[m], ps[lo]) < 0 {
+			ps[m], ps[lo] = ps[lo], ps[m]
+		}
+		if comparePicks(ps[hi-1], ps[lo]) < 0 {
+			ps[hi-1], ps[lo] = ps[lo], ps[hi-1]
+		}
+		if comparePicks(ps[hi-1], ps[m]) < 0 {
+			ps[hi-1], ps[m] = ps[m], ps[hi-1]
+		}
+		// ps[m] is the median of three; partition around it.
+		ps[m], ps[hi-1] = ps[hi-1], ps[m]
+		pivot, i := ps[hi-1], lo
+		for j := lo; j < hi-1; j++ {
+			if comparePicks(ps[j], pivot) < 0 {
+				ps[i], ps[j] = ps[j], ps[i]
+				i++
+			}
+		}
+		ps[i], ps[hi-1] = ps[hi-1], ps[i]
+		switch {
+		case k-1 < i:
+			hi = i
+		case k-1 > i:
+			lo = i + 1
+		default:
+			return
+		}
+	}
+	slices.SortFunc(ps[lo:hi], comparePicks)
 }

@@ -158,3 +158,87 @@ func TestPickTiesAndFill(t *testing.T) {
 	sink.End()
 	checkPick(t, "synthetic", got, want, []int{0, 1, 2, 3, 4, 5, 9, 17, 40})
 }
+
+// TestPickAdversarialOrders drives synthetic streams at the façade's
+// scale (200 picks) through the fill phase, since only three statements
+// define anything: ordinals that rise with the address (the scan from
+// the top meets the best picks first), that fall with it (every address
+// beats the cut, so the buffer is cut every n picks), that follow a
+// scrambled order, and regions whose tied ordinals straddle the 200th
+// pick.
+func TestPickAdversarialOrders(t *testing.T) {
+	p := prog(t, `
+	func main() {
+		var a[6];
+		var x = 1;
+		var y = 2;
+		print(x + y + a[0]);
+	}`)
+	var decl *ir.Stmt
+	var assigns []*ir.Stmt
+	for _, s := range p.Stmts {
+		switch s.Op {
+		case ir.OpDeclArr:
+			decl = s
+		case ir.OpAssign:
+			assigns = append(assigns, s)
+		}
+	}
+	if decl == nil || len(assigns) < 2 {
+		t.Fatal("test program lacks a region and two assignments")
+	}
+	blk := p.Main.Entry()
+	const words = 3000
+	def := func(sink trace.Sink, i, a int) {
+		sink.Block(blk)
+		sink.Stmt(assigns[i%2], nil, []int64{int64(a)})
+	}
+	streams := []struct {
+		name string
+		emit func(trace.Sink)
+	}{
+		{"rising", func(sink trace.Sink) {
+			for i := 0; i < words; i++ {
+				def(sink, i, 100+i)
+			}
+		}},
+		{"falling", func(sink trace.Sink) {
+			for i := 0; i < words; i++ {
+				def(sink, i, 100+words-1-i)
+			}
+		}},
+		{"scrambled", func(sink trace.Sink) {
+			for i := 0; i < words; i++ {
+				def(sink, i, 100+i*1237%words)
+			}
+		}},
+		{"tie-after-singles", func(sink trace.Sink) {
+			// 400 region words share the oldest ordinal; 150 newer
+			// single definitions come first, so picks 151-550 tie.
+			sink.Block(blk)
+			sink.RegionDef(decl, 2000, 400)
+			for i := 0; i < 150; i++ {
+				def(sink, i, 100+7*i)
+			}
+		}},
+		{"tie-first", func(sink trace.Sink) {
+			// The newest block defines a 500-word region above and below
+			// older singles, and redefines three of them.
+			for i := 0; i < 300; i++ {
+				def(sink, i, 1000+i)
+			}
+			sink.Block(blk)
+			sink.RegionDef(decl, 900, 500)
+			sink.Stmt(assigns[0], nil, []int64{1399})
+			sink.Stmt(assigns[1], nil, []int64{950})
+			sink.Stmt(assigns[0], nil, []int64{1250})
+		}},
+	}
+	for _, st := range streams {
+		got, want := trace.NewCritPicker(), newRefPicker()
+		sink := trace.Multi{got, want}
+		st.emit(sink)
+		sink.End()
+		checkPick(t, st.name, got, want, []int{1, 3, 4, 199, 200, 201, 400, words + 10})
+	}
+}

@@ -61,7 +61,6 @@ type Writer struct {
 	cur       *Segment
 	numBlocks int
 	met       *Metrics
-	scratch   [binary.MaxVarintLen64]byte
 	err       error
 }
 
@@ -100,15 +99,36 @@ func (w *Writer) Segments() []*Segment { return w.segs }
 // BlockExecutions returns the number of block records written.
 func (w *Writer) BlockExecutions() int64 { return w.ord }
 
-func (w *Writer) putUvarint(v uint64) {
+// buffer returns the bufio.Writer's free space for a record of up to n
+// varints, flushing first if they might not fit, so that a record is
+// encoded in place and committed by one Write that only advances the
+// buffer. ok is false once a write has failed: the first error latches
+// and later records write nothing.
+func (w *Writer) buffer(n int) (buf []byte, ok bool) {
 	if w.err != nil {
-		return
+		return nil, false
 	}
-	n := binary.PutUvarint(w.scratch[:], v)
-	if _, err := w.bw.Write(w.scratch[:n]); err != nil {
+	if w.bw.Available() < n*binary.MaxVarintLen64 {
+		if w.err = w.bw.Flush(); w.err != nil {
+			return nil, false
+		}
+	}
+	return w.bw.AvailableBuffer(), true
+}
+
+// commit writes a record encoded into buffer's space.
+func (w *Writer) commit(buf []byte) {
+	if _, err := w.bw.Write(buf); err != nil {
 		w.err = err
 	}
-	w.written += int64(n)
+	w.written += int64(len(buf))
+}
+
+// putUvarint writes a one-varint record.
+func (w *Writer) putUvarint(v uint64) {
+	if buf, ok := w.buffer(1); ok {
+		w.commit(binary.AppendUvarint(buf, v))
+	}
 }
 
 // Block implements Sink.
@@ -133,22 +153,30 @@ func (w *Writer) closeSegment() {
 // Stmt implements Sink.
 func (w *Writer) Stmt(s *ir.Stmt, uses, defs []int64) {
 	w.stmts++
-	for _, a := range uses {
-		w.putUvarint(uint64(a))
-	}
-	for _, a := range defs {
-		w.putUvarint(uint64(a))
-		if w.cur != nil {
+	if w.cur != nil {
+		for _, a := range defs {
 			w.cur.Defs.Add(a)
 		}
 	}
+	buf, ok := w.buffer(len(uses) + len(defs))
+	if !ok {
+		return
+	}
+	for _, a := range uses {
+		buf = binary.AppendUvarint(buf, uint64(a))
+	}
+	for _, a := range defs {
+		buf = binary.AppendUvarint(buf, uint64(a))
+	}
+	w.commit(buf)
 }
 
 // RegionDef implements Sink.
 func (w *Writer) RegionDef(s *ir.Stmt, start, length int64) {
 	w.stmts++
-	w.putUvarint(uint64(start))
-	w.putUvarint(uint64(length))
+	if buf, ok := w.buffer(2); ok {
+		w.commit(binary.AppendUvarint(binary.AppendUvarint(buf, uint64(start)), uint64(length)))
+	}
 	if w.cur == nil {
 		return
 	}

@@ -184,10 +184,13 @@ type Recording struct {
 	cuts    *profile.Cuts
 
 	// Inputs of the instrumented run, kept so the re-execution backend
-	// and the lazy graph builds can regenerate it.
+	// and the lazy graph builds can regenerate it. watermark, its address
+	// space in words, sizes a lazy build's tables; a snapshot-loaded
+	// recording does not know it (0).
 	input       []int64
 	maxSteps    int64
 	totalBlocks int64
+	watermark   int64
 	planner     *plan.Planner
 }
 
@@ -254,7 +257,7 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	sp := span.Child("profile")
 	qsp := qt.Root().Child("profile")
 	col := profile.NewCollector(p.ir)
-	_, err := interp.Run(p.ir, interp.Options{Input: o.Input, MaxSteps: o.MaxSteps, Sink: col, Telemetry: o.Telemetry})
+	pres, err := interp.Run(p.ir, interp.Options{Input: o.Input, MaxSteps: o.MaxSteps, Sink: col, Telemetry: o.Telemetry})
 	sp.End()
 	qsp.End()
 	if err != nil {
@@ -263,12 +266,57 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	hot := col.HotPaths(1, 0)
 	cuts := col.Cuts()
 
+	// The instrumented run's span covers its set-up too: the trace file
+	// and the OPT graph's static component.
+	sp = span.Child("interp")
+	qsp = qt.Root().Child("interp")
+	// DeferGraphs skips the online OPT construction (OPT is then built on
+	// demand, like FP); a snapshot write needs OPT now, so it overrides
+	// the deferral.
+	deferred := o.DeferGraphs && !(cache != nil && o.Snapshot.Write)
+	rec, picker, err := p.instrumentedRun(o, cfg, hot, cuts, pres.Watermark, deferred)
+	sp.End()
+	if err != nil {
+		qsp.End()
+		return nil, err
+	}
+	// Annotate the instrumented-run span with the trace I/O it produced.
+	if qt != nil {
+		qsp.Int("steps", rec.Steps).Int("blocks", rec.totalBlocks).Int("trace_segments", int64(len(rec.segs)))
+	}
+	qsp.End()
+
+	if picker != nil {
+		sp = span.Child("pick")
+		qsp = qt.Root().Child("pick")
+		rec.crit = picker.Pick(o.TrackCriteria)
+		sp.End()
+		qsp.End()
+	}
+	if cache != nil && o.Snapshot.Write {
+		sp = span.Child("snapshot-write")
+		qsp = qt.Root().Child("snapshot-write")
+		rec.writeSnapshot(cache, key, rec.optG.built())
+		sp.End()
+		qsp.End()
+	}
+	return rec, nil
+}
+
+// instrumentedRun is Record's second run. It writes the trace, builds
+// OPT online unless deferred, and feeds the criterion picker it returns
+// (nil unless o tracks criteria) and the forward index. The run repeats
+// the profiling run exactly, frames included, so that run's watermark wm
+// sizes the interpreter's memory and every address-indexed table up
+// front; any other wm costs only growth and gives the same recording.
+func (p *Program) instrumentedRun(o RunOptions, cfg opt.Config, hot []*profile.PathProfile, cuts *profile.Cuts, wm int64, deferred bool) (*Recording, *trace.CritPicker, error) {
 	dir := o.TraceDir
 	var tmp string
 	if dir == "" {
+		var err error
 		tmp, err = os.MkdirTemp("", "dynslice")
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dir = tmp
 	}
@@ -291,24 +339,17 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	}()
 	f, err := os.Create(tracePath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tw := trace.NewWriter(p.ir, f, segmentBlocks)
 	tw.SetMetrics(trace.NewMetrics(o.Telemetry))
-	// DeferGraphs skips the online OPT construction (OPT is then built on
-	// demand, like FP); a snapshot write needs OPT now, so it overrides
-	// the deferral.
-	deferred := o.DeferGraphs && !(cache != nil && o.Snapshot.Write)
 	sink := trace.Multi{tw}
-	var picker *trace.CritPicker
-	if o.TrackCriteria > 0 {
-		picker = trace.NewCritPicker()
-	}
 	var optG *opt.Graph
 	var aopt *trace.Async
 	if !deferred {
 		optG = opt.NewGraph(p.ir, cfg, hot, cuts)
 		optG.SetTelemetry(o.Telemetry)
+		optG.Reserve(wm)
 		// The OPT builder runs as a pipelined Async sink: the interpreter
 		// batches events into pooled buffers and the builder consumes them
 		// concurrently, sealing each label block inline as its list fills.
@@ -326,9 +367,13 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 		fwd = forward.New(p.ir)
 		sink = append(sink, fwd)
 	}
-	if picker != nil {
-		// Criterion tracking stays inline: the picker is cheap (two map
-		// stores per defining statement) and must see the full run.
+	var picker *trace.CritPicker
+	if o.TrackCriteria > 0 {
+		// Criterion tracking stays inline: the picker is cheap (two stores
+		// into tables dense by address per defined address) and must see
+		// the full run.
+		picker = trace.NewCritPicker()
+		picker.Reserve(wm)
 		sink = append(sink, picker)
 	}
 	// Checkpoint capture feeds the re-execution backend, the expected
@@ -337,17 +382,14 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	if deferred {
 		ckEvery = segmentBlocks
 	}
-	sp = span.Child("interp")
-	qsp = qt.Root().Child("interp")
 	res, err := interp.Run(p.ir, interp.Options{
 		Input:           o.Input,
 		MaxSteps:        o.MaxSteps,
 		Sink:            sink,
 		Telemetry:       o.Telemetry,
 		CheckpointEvery: ckEvery,
+		Watermark:       wm,
 	})
-	sp.End()
-	qsp.End()
 	if err != nil {
 		// The interpreter never delivered End; drain the async builder
 		// so its goroutine exits before we tear the recording down.
@@ -355,19 +397,15 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 			aopt.Close()
 		}
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	if err := f.Close(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if tw.Err() != nil {
-		return nil, tw.Err()
+		return nil, nil, tw.Err()
 	}
 	segs := tw.Segments()
-	// Annotate the instrumented-run span with the trace I/O it produced.
-	if qt != nil {
-		qsp.Int("steps", res.Steps).Int("blocks", res.BlockExecs).Int("trace_segments", int64(len(segs)))
-	}
 	rec := p.newRecording(o, cfg, "build", res, segs)
 	rec.path, rec.cleanup = tracePath, cleanup
 	rec.hot, rec.cuts, rec.fwd = hot, cuts, fwd
@@ -376,14 +414,8 @@ func (p *Program) record(o RunOptions, qt *qtrace.Trace, out *qtrace.Outcome) (*
 	}
 	rec.lpS = lp.New(p.ir, tracePath, segs)
 	rec.lpS.SetTelemetry(o.Telemetry)
-	if picker != nil {
-		rec.crit = picker.Pick(o.TrackCriteria)
-	}
 	ok = true
-	if cache != nil && o.Snapshot.Write {
-		rec.writeSnapshot(cache, key, optG)
-	}
-	return rec, nil
+	return rec, picker, nil
 }
 
 // newRecording returns the recording of one run on o's input, made by
@@ -399,7 +431,7 @@ func (p *Program) newRecording(o RunOptions, cfg opt.Config, source string, res 
 		tel: o.Telemetry, qlog: o.QueryLog, qstats: o.QueryStats, qtr: o.QueryTrace,
 		Output: res.Output, Steps: res.Steps, Return: res.ReturnValue,
 		segs: segs, input: o.Input, maxSteps: o.MaxSteps, totalBlocks: res.BlockExecs,
-		planner: o.Planner,
+		watermark: res.Watermark, planner: o.Planner,
 	}
 	rec.reexecS = reexec.New(p.ir, segs, reexec.Options{
 		Input:       o.Input,
@@ -595,6 +627,14 @@ type graphBuild[G any] struct {
 // set installs a graph that Record built or loaded.
 func (l *lazyGraph[G]) set(g *G) { l.done.Store(&graphBuild[G]{g: g}) }
 
+// built returns the graph if it is built, else nil.
+func (l *lazyGraph[G]) built() *G {
+	if b := l.done.Load(); b != nil {
+		return b.g
+	}
+	return nil
+}
+
 // get returns the graph, running build on the first call. A failed
 // build latches: later calls return the same error without retrying.
 func (l *lazyGraph[G]) get(build func() (*G, error)) (*G, error) {
@@ -626,6 +666,7 @@ func (r *Recording) ensureFP() (*fp.Graph, error) {
 	return r.fpG.get(func() (*fp.Graph, error) {
 		g := fp.NewGraph(r.p.ir)
 		g.SetTelemetry(r.tel)
+		g.Reserve(r.watermark)
 		if err := r.rerunInto("fp-deferred-build", g); err != nil {
 			return nil, fmt.Errorf("slicer: deferred FP build: %w", err)
 		}
@@ -639,6 +680,7 @@ func (r *Recording) ensureOPT() (*opt.Graph, error) {
 	return r.optG.get(func() (*opt.Graph, error) {
 		g := opt.NewGraph(r.p.ir, r.optCfg, r.hot, r.cuts)
 		g.SetTelemetry(r.tel)
+		g.Reserve(r.watermark)
 		if err := r.rerunInto("opt-deferred-build", g); err != nil {
 			return nil, fmt.Errorf("slicer: deferred OPT build: %w", err)
 		}
@@ -657,7 +699,7 @@ func (r *Recording) ensureOPT() (*opt.Graph, error) {
 func (r *Recording) rerunInto(span string, sink trace.Sink) error {
 	sp := r.tel.StartSpan(span)
 	defer sp.End()
-	res, err := interp.Run(r.p.ir, interp.Options{Input: r.input, MaxSteps: r.maxSteps, Sink: sink, Telemetry: r.tel})
+	res, err := interp.Run(r.p.ir, interp.Options{Input: r.input, MaxSteps: r.maxSteps, Sink: sink, Telemetry: r.tel, Watermark: r.watermark})
 	if err != nil {
 		return fmt.Errorf("re-run: %w", err)
 	}
