@@ -2,7 +2,12 @@ GO ?= go
 
 .PHONY: ci build vet fmt test test-race fuzz-smoke fuzz-native overhead bench bench-parallel bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-smoke bench-baseline bench-check lint-metrics experiments
 
-ci: build vet fmt lint-metrics test test-race fuzz-smoke bench-mem bench-explain bench-queries bench-snapshot bench-planner bench-qtrace bench-smoke overhead bench-check
+# bench-check runs every gated experiment once, on all ten workloads, with
+# the hard checks of the one-workload smoke targets (bench-mem,
+# bench-explain, bench-queries, bench-snapshot, bench-qtrace), so ci runs
+# none of those. bench-planner stays: its median floors on li alone are
+# stricter for li than bench-check's ten-workload medians.
+ci: build vet fmt lint-metrics test test-race fuzz-smoke bench-planner bench-smoke overhead bench-check
 
 build:
 	$(GO) build ./...
@@ -56,10 +61,14 @@ overhead:
 bench:
 	$(GO) test -bench . -benchmem .
 
-# Parallel-engine speedups: pipelined builds, batched + concurrent
-# slicing vs the sequential GOMAXPROCS=1 baseline -> BENCH_parallel.json.
+# Batching speedups: one SliceAll over the 25 criteria vs a per-criterion
+# loop, on OPT and LP. RunParallel fails the target if the batch and the
+# loop disagree on a slice. The report goes to a temporary directory;
+# `make bench-baseline` regenerates the checked-in BENCH_parallel.json.
 bench-parallel:
-	$(GO) run ./cmd/experiments -exp parallel
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp parallel -out $$dir; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # Memory layout: FP and OPT labels as delta-varint blocks against the
 # flat-pair size model (16 B a pair, plus 4 B for FP's aux column).
@@ -69,15 +78,19 @@ bench-parallel:
 # BENCH_memory.json.
 bench-mem:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -exp memory -memory-out $$dir/BENCH_memory.json; \
+	$(GO) run ./cmd/experiments -exp memory -out $$dir; \
 	st=$$?; rm -rf $$dir; exit $$st
 
 # Observed-query breakdown: every criterion explained on FP/OPT/LP,
-# explicit-vs-inferred edge attribution -> BENCH_explain.json. RunExplain
-# fails the target if any workload's OPT traversal reports zero inferred
-# edges (the optimizations would not be exercised).
+# explicit-vs-inferred edge attribution. RunExplain fails the target if
+# any workload's OPT traversal reports zero inferred edges (the
+# optimizations would not be exercised). The report goes to a temporary
+# directory; `make bench-baseline` regenerates the checked-in
+# BENCH_explain.json.
 bench-explain:
-	$(GO) run ./cmd/experiments -exp explain
+	@dir=$$(mktemp -d) && \
+	$(GO) run ./cmd/experiments -exp explain -out $$dir; \
+	st=$$?; rm -rf $$dir; exit $$st
 
 # Query flight-recorder smoke: replay the interactive query pattern on
 # one small workload with the audit log attached. RunQueries fails the
@@ -85,7 +98,7 @@ bench-explain:
 # ID, unknown backend/kind, implausible latency, no cache hits).
 bench-queries:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -exp queries -workload li -queries-out $$dir/BENCH_queries.json; \
+	$(GO) run ./cmd/experiments -exp queries -workload li -out $$dir; \
 	st=$$?; rm -rf $$dir; exit $$st
 
 # Persistent-snapshot smoke: save FP+OPT graph images for one small
@@ -95,7 +108,7 @@ bench-queries:
 # least 5x faster than rebuilding from the trace (see PERFORMANCE.md).
 bench-snapshot:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -exp snapshot -workload li -snapshot-out $$dir/BENCH_snapshot.json; \
+	$(GO) run ./cmd/experiments -exp snapshot -workload li -out $$dir; \
 	st=$$?; rm -rf $$dir; exit $$st
 
 # Causal-tracing smoke: replay the interactive query pattern on one
@@ -105,7 +118,7 @@ bench-snapshot:
 # or any traced query errors.
 bench-qtrace:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -exp qtrace -workload li -qtrace-out $$dir/BENCH_qtrace.json; \
+	$(GO) run ./cmd/experiments -exp qtrace -workload li -out $$dir; \
 	st=$$?; rm -rf $$dir; exit $$st
 
 # End-to-end benchmark smoke: every perfbench workload for a few ops,
@@ -130,34 +143,31 @@ lint-metrics:
 # slice (see docs/PLANNER.md).
 bench-planner:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -exp planner -workload li -planner-out $$dir/BENCH_planner.json; \
+	$(GO) run ./cmd/experiments -exp planner -workload li -out $$dir; \
 	st=$$?; rm -rf $$dir; exit $$st
 
+# The experiments whose artifacts cmd/benchdiff gates.
+BENCH_EXPS = parallel,memory,telemetry,snapshot,planner,queries,explain,qtrace
+
 # Regression gate: regenerate the gated benchmark artifacts into a temp
-# directory and diff against bench/baselines (fails when the median
-# cross-workload delta of lp/opt batch speedup, compact resident label
-# bytes, or per-backend slice times exceeds the metric's allowance —
-# 20% base, scaled up for timing noise; see cmd/benchdiff). Baselines
-# are machine-dependent; refresh them on the gating machine with
-# `make bench-baseline`.
+# directory and diff against bench/baselines. Each gated row is one
+# layer's quantity (batch speedups, compact resident bytes and build
+# times, per-backend slice times and query traversal instances, snapshot
+# load time and file size, re-execution time and segment scans, ...); the
+# gate fails when a row's
+# median cross-workload delta exceeds its allowance — 20% base, scaled up
+# for timing noise; see cmd/benchdiff. Baselines are machine-dependent;
+# refresh them on the gating machine with `make bench-baseline`.
 bench-check:
 	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/experiments -exp parallel,memory,telemetry,snapshot,planner,queries,explain,qtrace \
-		-parallel-out $$dir/BENCH_parallel.json \
-		-memory-out $$dir/BENCH_memory.json \
-		-telemetry-out $$dir/BENCH_telemetry.json \
-		-snapshot-out $$dir/BENCH_snapshot.json \
-		-planner-out $$dir/BENCH_planner.json \
-		-queries-out $$dir/BENCH_queries.json \
-		-explain-out $$dir/BENCH_explain.json \
-		-qtrace-out $$dir/BENCH_qtrace.json && \
+	$(GO) run ./cmd/experiments -exp $(BENCH_EXPS) -out $$dir && \
 	$(GO) run ./cmd/benchdiff -current $$dir; \
 	st=$$?; rm -rf $$dir; exit $$st
 
 # Refresh the bench-check baselines (and the checked-in root artifacts)
 # from this machine.
 bench-baseline:
-	$(GO) run ./cmd/experiments -exp parallel,memory,telemetry,queries,explain,snapshot,planner,qtrace
+	$(GO) run ./cmd/experiments -exp $(BENCH_EXPS)
 	mkdir -p bench/baselines
 	cp BENCH_parallel.json BENCH_memory.json BENCH_telemetry.json BENCH_snapshot.json BENCH_planner.json BENCH_queries.json BENCH_explain.json BENCH_qtrace.json bench/baselines/
 

@@ -209,42 +209,28 @@ func BenchmarkFig18(b *testing.B) {
 	})
 }
 
-// BenchmarkBuild compares graph construction: per-sink sequential trace
-// replays versus one replay feeding FP and OPT together, each through its
-// own trace.Async worker as Record feeds its OPT builder.
+// BenchmarkBuild times graph construction from a recorded trace: one
+// replay into a fresh FP graph, then one into a fresh OPT graph.
 func BenchmarkBuild(b *testing.B) {
 	res := build(b, bench.Options{WithFP: true, WithOPT: true})
 	prof, cuts := bench.Reprofile(b, res)
-	bytesPerDep := func(b *testing.B) {
-		if deps := res.FP.LabelPairs() + res.OPT.LabelPairs(); deps > 0 {
-			b.ReportMetric(float64(res.FP.ResidentBytes()+res.OPT.ResidentBytes())/float64(deps), "bytes/dep")
-		}
+	if deps := res.FP.LabelPairs() + res.OPT.LabelPairs(); deps > 0 {
+		b.ReportMetric(float64(res.FP.ResidentBytes()+res.OPT.ResidentBytes())/float64(deps), "bytes/dep")
 	}
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		bytesPerDep(b)
-		for i := 0; i < b.N; i++ {
-			for _, g := range []trace.Sink{bench.NewFPGraph(res.P), bench.NewOPTGraph(res.P, prof, cuts)} {
-				f, err := os.Open(res.TracePath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := trace.Replay(res.P, f, g); err != nil {
-					b.Fatal(err)
-				}
-				f.Close()
-			}
-		}
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		b.ReportAllocs()
-		bytesPerDep(b)
-		for i := 0; i < b.N; i++ {
-			if err := bench.ReplayPipelined(res, bench.NewFPGraph(res.P), bench.NewOPTGraph(res.P, prof, cuts)); err != nil {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range []trace.Sink{bench.NewFPGraph(res.P), bench.NewOPTGraph(res.P, prof, cuts)} {
+			f, err := os.Open(res.TracePath)
+			if err != nil {
 				b.Fatal(err)
 			}
+			if err := trace.Replay(res.P, f, g); err != nil {
+				b.Fatal(err)
+			}
+			f.Close()
 		}
-	})
+	}
 }
 
 // BenchmarkRecord times a cold Program.Record on the set-ups of the

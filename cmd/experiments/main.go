@@ -4,49 +4,53 @@
 // Usage:
 //
 //	experiments [-exp all|1|2|3|4|5|6|7|8|15|16|17|18|sequitur|telemetry|parallel|memory|explain|queries|snapshot|planner|qtrace] [-workload name] [-scale n]
-//	            [-telemetry-out BENCH_telemetry.json] [-parallel-out BENCH_parallel.json]
-//	            [-memory-out BENCH_memory.json] [-explain-out BENCH_explain.json]
-//	            [-queries-out BENCH_queries.json] [-snapshot-out BENCH_snapshot.json]
-//	            [-planner-out BENCH_planner.json] [-qtrace-out BENCH_qtrace.json]
+//	            [-out dir]
 //
 // Numbers 1-8 are tables, 15-18 figures, matching the paper's numbering.
-// -scale multiplies each workload's default input size. The telemetry
-// experiment builds every workload with metrics attached and writes
-// per-benchmark graph sizes, per-optimization label-elimination counts,
-// and slice times to -telemetry-out. The parallel experiment compares the
-// pipelined build (one trace decode feeding the FP and OPT builders, each
-// through its own trace.Async worker) and the batched 25-criteria query
-// paths against their sequential GOMAXPROCS=1 baselines and writes
-// per-workload speedups to -parallel-out (see docs/PERFORMANCE.md). The
-// memory experiment builds each workload's FP and OPT graphs with
-// delta-varint label blocks, compares their label bytes with the
-// flat-pair size model (16 B a pair, plus FP's 4 B aux column), checks
-// every slice against LP's, and writes resident-bytes records to
-// -memory-out.
-// The explain experiment runs every criterion as an observed query on
-// FP, OPT, and LP, and writes the aggregate explicit-vs-inferred edge
-// resolution breakdown (the measurable counterpart of the paper's
-// Table 4 label-elimination accounting; see docs/EXPLAIN.md) to
-// -explain-out. The queries experiment replays the interactive usage
-// pattern (batched criteria, repeat cached queries, observed queries)
-// through each backend's QueryEngine with the query flight recorder
-// attached, validates every audit record, and writes per-workload
-// latency quantiles and cache statistics to -queries-out (see
-// docs/OBSERVABILITY.md). The planner experiment measures the
-// re-execution backend's rare-query path against the cheapest
-// graph-build path and the cost-based planner's regret on a criterion
-// stream, writing both to -planner-out (see docs/PLANNER.md). The
-// qtrace experiment replays the same interactive pattern with the
-// per-query causal tracer attached, checks the tail-based sampler
-// retained exactly the deterministic 1-in-N prediction with well-formed
-// span trees, and writes capture rates and the traced-vs-plain overhead
-// ratio to -qtrace-out (see docs/OBSERVABILITY.md "Per-query tracing").
+// -scale multiplies each workload's default input size. Each of the
+// eight measurement experiments writes one artifact, BENCH_<exp>.json,
+// into -out (default: the current directory):
+//
+//   - telemetry builds every workload with metrics attached: per-benchmark
+//     graph sizes, per-optimization label-elimination counts, and slice
+//     times.
+//   - parallel answers the 25 criteria by one batched SliceAll and by a
+//     per-criterion loop, on OPT and on LP, and records the batch
+//     speedups (see docs/PERFORMANCE.md).
+//   - memory builds each workload's FP and OPT graphs with delta-varint
+//     label blocks, compares their label bytes with the flat-pair size
+//     model (16 B a pair, plus FP's 4 B aux column), times each build,
+//     and checks every slice against LP's.
+//   - explain runs every criterion as an observed query on FP, OPT and
+//     LP: the explicit-vs-inferred edge resolution breakdown, the
+//     measurable counterpart of the paper's Table 4 label-elimination
+//     accounting (see docs/EXPLAIN.md).
+//   - queries replays the interactive usage pattern (batched criteria,
+//     repeat cached queries, observed queries) through each backend's
+//     QueryEngine with the query flight recorder attached, validates
+//     every audit record, and records latency quantiles and cache
+//     statistics (see docs/OBSERVABILITY.md).
+//   - snapshot times loading the persistent graph image against
+//     rebuilding from the trace, and records the image's size.
+//   - planner times one cold criterion answered by re-execution, counts
+//     the segments it re-executes, compares it with the cheapest
+//     graph-build path, and records the cost-based planner's regret on
+//     a criterion stream (see docs/PLANNER.md).
+//   - qtrace replays the interactive pattern with the per-query causal
+//     tracer attached, checks that the tail-based sampler retained
+//     exactly the deterministic 1-in-N prediction with well-formed span
+//     trees, and records capture rates and the traced-vs-plain overhead
+//     ratio (see docs/OBSERVABILITY.md "Per-query tracing").
+//
+// Each experiment fails (exit status 1) on the hard checks its Run*
+// function documents, such as a slice that differs between backends.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"dynslice/internal/bench"
@@ -56,14 +60,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, 1-8 (tables), 15-18 (figures), sequitur, ablation, forward, telemetry, parallel, memory, explain, queries, snapshot, planner, qtrace")
 	workload := flag.String("workload", "", "restrict to one workload (e.g. 164.gzip or gzip)")
 	scale := flag.Int64("scale", 1, "input-size multiplier for every workload")
-	telemetryOut := flag.String("telemetry-out", "BENCH_telemetry.json", "output file for -exp telemetry")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output file for -exp parallel")
-	memoryOut := flag.String("memory-out", "BENCH_memory.json", "output file for -exp memory")
-	explainOut := flag.String("explain-out", "BENCH_explain.json", "output file for -exp explain")
-	queriesOut := flag.String("queries-out", "BENCH_queries.json", "output file for -exp queries")
-	snapshotOut := flag.String("snapshot-out", "BENCH_snapshot.json", "output file for -exp snapshot")
-	plannerOut := flag.String("planner-out", "BENCH_planner.json", "output file for -exp planner")
-	qtraceOut := flag.String("qtrace-out", "BENCH_qtrace.json", "output file for -exp qtrace")
+	outDir := flag.String("out", ".", "directory for the BENCH_<exp>.json artifacts")
 	flag.Parse()
 
 	wls := bench.Workloads()
@@ -82,6 +79,7 @@ func main() {
 	}
 
 	w := os.Stdout
+	out := func(exp string) string { return filepath.Join(*outDir, "BENCH_"+exp+".json") }
 	run := func(name string, f func() error) {
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
@@ -145,28 +143,28 @@ func main() {
 		run("forward", func() error { return bench.RunForwardComparison(w, wls) })
 	}
 	if want("telemetry") {
-		run("telemetry", func() error { return bench.RunTelemetry(w, wls, *telemetryOut) })
+		run("telemetry", func() error { return bench.RunTelemetry(w, wls, out("telemetry")) })
 	}
 	if want("parallel") {
-		run("parallel", func() error { return bench.RunParallel(w, wls, *parallelOut) })
+		run("parallel", func() error { return bench.RunParallel(w, wls, out("parallel")) })
 	}
 	if want("memory") {
-		run("memory", func() error { return bench.RunMemory(w, wls, *memoryOut) })
+		run("memory", func() error { return bench.RunMemory(w, wls, out("memory")) })
 	}
 	if want("explain") {
-		run("explain", func() error { return bench.RunExplain(w, wls, *explainOut) })
+		run("explain", func() error { return bench.RunExplain(w, wls, out("explain")) })
 	}
 	if want("queries") {
-		run("queries", func() error { return bench.RunQueries(w, wls, *queriesOut) })
+		run("queries", func() error { return bench.RunQueries(w, wls, out("queries")) })
 	}
 	if want("snapshot") {
-		run("snapshot", func() error { return bench.RunSnapshot(w, wls, *snapshotOut) })
+		run("snapshot", func() error { return bench.RunSnapshot(w, wls, out("snapshot")) })
 	}
 	if want("planner") {
-		run("planner", func() error { return bench.RunPlanner(w, wls, *plannerOut) })
+		run("planner", func() error { return bench.RunPlanner(w, wls, out("planner")) })
 	}
 	if want("qtrace") {
-		run("qtrace", func() error { return bench.RunQtrace(w, wls, *qtraceOut) })
+		run("qtrace", func() error { return bench.RunQtrace(w, wls, out("qtrace")) })
 	}
 }
 

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"dynslice/internal/slicing"
@@ -97,15 +95,5 @@ func RunExplain(w io.Writer, workloads []Workload, outPath string) error {
 		}
 		out = append(out, eb)
 	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
-	return nil
+	return writeArtifact(w, outPath, out)
 }

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -189,6 +191,20 @@ func Build(w Workload, o Options) (*Result, error) {
 		res.LP.SetTelemetry(reg)
 	}
 	return res, nil
+}
+
+// writeArtifact writes one -exp runner's records to outPath as indented
+// JSON and notes the path on w.
+func writeArtifact(w io.Writer, outPath string, records any) error {
+	data, err := json.MarshalIndent(records, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nwrote %s\n", outPath)
+	return nil
 }
 
 func sanitize(s string) string {

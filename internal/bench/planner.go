@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -30,11 +28,15 @@ type PlannerBench struct {
 	// from checkpoints and tracing dependences for the suffix only (best
 	// of reps, fresh slicer each rep so nothing is cached).
 	ReexecMs float64 `json:"reexec_ms"`
+	// ReexecSegScans counts the trace segments that query re-executes
+	// (slicing.Stats.SegScans): the re-execution layer's work as a
+	// count, which moves only when the code does.
+	ReexecSegScans int64 `json:"reexec_seg_scans"`
 	// CheapestBuildMs is the cheapest graph path to the same single
 	// answer: min over FP and OPT of (trace-replay build + one query).
 	CheapestBuildMs float64 `json:"cheapest_build_ms"`
-	// ReexecVsBuildSpeedup is the headline: how much faster the rare
-	// query is answered without materializing a dependence graph.
+	// ReexecVsBuildSpeedup is CheapestBuildMs over ReexecMs, the two
+	// paths timed in one run, which RunPlanner's median floor checks.
 	ReexecVsBuildSpeedup float64 `json:"reexec_vs_build_speedup"`
 
 	// PlannerRegret is the median over the criterion stream of
@@ -64,8 +66,8 @@ const (
 // (cmd/experiments -exp planner).
 func RunPlanner(w io.Writer, workloads []Workload, outPath string) error {
 	header(w, "Planner: cold re-execution vs graph build, and planning regret",
-		fmt.Sprintf("%-12s %10s %10s %9s %8s  %s\n",
-			"Program", "reexec(ms)", "build(ms)", "speedup", "regret", "chosen"))
+		fmt.Sprintf("%-12s %10s %6s %10s %9s %8s  %s\n",
+			"Program", "reexec(ms)", "scans", "build(ms)", "speedup", "regret", "chosen"))
 	var out []PlannerBench
 	var speedups, regrets []float64
 	for _, wl := range workloads {
@@ -78,8 +80,8 @@ func RunPlanner(w io.Writer, workloads []Workload, outPath string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-12s %10.3f %10.3f %8.1fx %8.2f  %v\n",
-			wl.Name, pb.ReexecMs, pb.CheapestBuildMs, pb.ReexecVsBuildSpeedup,
+		fmt.Fprintf(w, "%-12s %10.3f %6d %10.3f %8.1fx %8.2f  %v\n",
+			wl.Name, pb.ReexecMs, pb.ReexecSegScans, pb.CheapestBuildMs, pb.ReexecVsBuildSpeedup,
 			pb.PlannerRegret, pb.Chosen)
 		if !pb.IdenticalSlices {
 			return fmt.Errorf("planner %s: backends disagreed on a slice", wl.Name)
@@ -96,17 +98,7 @@ func RunPlanner(w io.Writer, workloads []Workload, outPath string) error {
 		return fmt.Errorf("planner: median regret %.2f above the %.2f gate",
 			med, maxPlannerRegret)
 	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
-	return nil
+	return writeArtifact(w, outPath, out)
 }
 
 func measurePlanner(res *Result) (PlannerBench, error) {
@@ -136,12 +128,13 @@ func measurePlanner(res *Result) (PlannerBench, error) {
 	for rep := 0; rep < plannerReps; rep++ {
 		rx := mkRx()
 		t0 := time.Now()
-		sl, _, err := rx.Slice(rare)
+		sl, st, err := rx.Slice(rare)
 		if err != nil {
 			return pb, fmt.Errorf("planner %s reexec: %w", res.W.Name, err)
 		}
 		rxTime = min(rxTime, time.Since(t0))
 		rxSlice = sl
+		pb.ReexecSegScans = st.SegScans
 	}
 
 	// Cheapest build path to the same answer: replay the trace into a

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	slicer "dynslice"
@@ -59,17 +57,7 @@ func RunQtrace(w io.Writer, workloads []Workload, outPath string) error {
 			qb.PlainMs, qb.TracedMs, qb.OverheadRatio)
 		out = append(out, *qb)
 	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
-	return nil
+	return writeArtifact(w, outPath, out)
 }
 
 func runQtraceOne(wl Workload) (*QtraceBench, error) {

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	slicer "dynslice"
@@ -19,12 +17,17 @@ import (
 // repeat queries hitting the cache, observed queries on OPT) through
 // the QueryEngine of every backend.
 type QueriesBench struct {
-	Name         string          `json:"name"`
-	NCriteria    int             `json:"n_criteria"`
-	Queries      int             `json:"queries"`
-	CacheHitRate float64         `json:"cache_hit_rate"`
-	SlowQueries  int64           `json:"slow_queries"`
-	Stats        *stats.Snapshot `json:"stats"`
+	Name         string  `json:"name"`
+	NCriteria    int     `json:"n_criteria"`
+	Queries      int     `json:"queries"`
+	CacheHitRate float64 `json:"cache_hit_rate"`
+	SlowQueries  int64   `json:"slow_queries"`
+	// Instances sums, per backend, the traversal instances its queries
+	// visited (slicing.Stats.Instances, as the audit records carry it):
+	// the query layer's work as a count, which moves only when the code
+	// does.
+	Instances map[string]int64 `json:"instances"`
+	Stats     *stats.Snapshot  `json:"stats"`
 }
 
 // queriesRepeat is how many criteria each backend re-queries
@@ -54,17 +57,7 @@ func RunQueries(w io.Writer, workloads []Workload, outPath string) error {
 			wl.Name, qb.Queries, qb.CacheHitRate, opt.P50Ms, opt.P99Ms, opt.InferredRatio)
 		out = append(out, *qb)
 	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
-	return nil
+	return writeArtifact(w, outPath, out)
 }
 
 func runQueriesOne(wl Workload) (*QueriesBench, error) {
@@ -117,6 +110,10 @@ func runQueriesOne(wl Workload) (*QueriesBench, error) {
 	if err := validateLog(qlog); err != nil {
 		return nil, err
 	}
+	instances := map[string]int64{}
+	for _, r := range qlog.Recent(0) {
+		instances[r.Backend] += r.Instances
+	}
 	snap := qst.Snapshot()
 	return &QueriesBench{
 		Name:         wl.Name,
@@ -124,6 +121,7 @@ func runQueriesOne(wl Workload) (*QueriesBench, error) {
 		Queries:      int(qlog.Total()),
 		CacheHitRate: snap.CacheHitRate,
 		SlowQueries:  qlog.SlowQueries(),
+		Instances:    instances,
 		Stats:        snap,
 	}, nil
 }

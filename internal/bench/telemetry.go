@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"slices"
 
 	"dynslice/internal/slicing"
@@ -97,17 +95,7 @@ func RunTelemetry(w io.Writer, workloads []Workload, outPath string) error {
 		out = append(out, bt)
 		res.Close()
 	}
-	if outPath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nwrote %s\n", outPath)
-	}
-	return nil
+	return writeArtifact(w, outPath, out)
 }
 
 // timeBackends runs the criteria through FP, OPT and LP telemetryPasses

@@ -37,10 +37,10 @@ func sameEvents(t *testing.T, name string, want, got *recorder) {
 }
 
 // TestParallelReplay checks a parallel replay: one Replay of a recorded
-// trace fanned out through Multi to several Async workers, the shape of
-// bench.ReplayPipelined. Every worker's sink must observe the exact
-// stream the interpreter delivered, and a truncated trace must return an
-// error without leaving a worker blocked.
+// trace fanned out through Multi to several Async workers. Every
+// worker's sink must observe the exact stream the interpreter
+// delivered, and a truncated trace must return an error without leaving
+// a worker blocked.
 func TestParallelReplay(t *testing.T) {
 	p := prog(t, srcLoop)
 	raw, direct := traceBytes(t)

@@ -14,8 +14,21 @@ import (
 // (index, word) pairs: block sets and address filters are mostly zeros
 // for all but the hottest segments.
 
-// AppendSegments serializes segment summaries.
+// AppendSegments serializes segment summaries. It grows dst once, to
+// the exact encoded size: a run of many segments would otherwise
+// reallocate its way up from the first few bytes.
 func AppendSegments(dst []byte, segs []*Segment) []byte {
+	n := labelblock.UvarintLen(uint64(len(segs)))
+	for _, s := range segs {
+		n += labelblock.UvarintLen(uint64(s.StartOrd)) + labelblock.UvarintLen(uint64(s.EndOrd)) +
+			labelblock.UvarintLen(uint64(s.Off)) + 1 +
+			sparseWordsLen(s.Blocks) + sparseWordsLen(s.Defs.bits[:])
+	}
+	if cap(dst)-len(dst) < n {
+		// One make, not slices.Grow: a race-instrumented build does not
+		// fuse Grow's append of a made slice and allocates twice.
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(segs)))
 	for _, s := range segs {
 		dst = binary.AppendUvarint(dst, uint64(s.StartOrd))
@@ -30,6 +43,18 @@ func AppendSegments(dst []byte, segs []*Segment) []byte {
 		dst = appendSparseWords(dst, s.Defs.bits[:])
 	}
 	return dst
+}
+
+// sparseWordsLen is the length appendSparseWords encodes words in.
+func sparseWordsLen(words []uint64) int {
+	n, nz := 0, 0
+	for i, w := range words {
+		if w != 0 {
+			nz++
+			n += labelblock.UvarintLen(uint64(i)) + labelblock.UvarintLen(w)
+		}
+	}
+	return labelblock.UvarintLen(uint64(len(words))) + labelblock.UvarintLen(uint64(nz)) + n
 }
 
 func appendSparseWords(dst []byte, words []uint64) []byte {

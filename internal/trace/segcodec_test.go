@@ -65,6 +65,22 @@ func TestDecodeSegmentsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendSegmentsAllocatesOnce: encoding a many-segment summary
+// into an empty buffer sizes it once instead of growing it by appends.
+func TestAppendSegmentsAllocatesOnce(t *testing.T) {
+	p, enc := recordSegments(t)
+	segs, _, err := trace.DecodeSegments(enc, len(p.Blocks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 16 {
+		t.Fatalf("want many segments, got %d", len(segs))
+	}
+	if n := testing.AllocsPerRun(10, func() { trace.AppendSegments(nil, segs) }); n != 1 {
+		t.Errorf("AppendSegments(nil, %d segments) allocated %v times, want 1", len(segs), n)
+	}
+}
+
 // TestDecodeSegmentsBoundedAlloc: the hostile inputs fail as corrupt
 // after allocating next to nothing.
 func TestDecodeSegmentsBoundedAlloc(t *testing.T) {
